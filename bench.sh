@@ -4,7 +4,8 @@
 # FrozenExecutor session reuse vs per-call freezing — the skewed scheduling
 # block — work-stealing vs static chunks on the clustered adversarial
 # assignment — the pool block — persistent pool vs spawn-per-call — and the
-# freeze block — parallel vs serial Graph::freeze — and the snapshot block —
+# freeze block — Graph::freeze wall time per arc, recorded without a gate —
+# and the snapshot block —
 # CsrGraph::to_bytes vs the validating from_bytes, with bytes/edge density —
 # and the service block — sustained query load through the resilient
 # radius-query service vs raw probes, qps + p99 with a 3x overhead gate —
@@ -22,7 +23,7 @@
 # Usage: ./bench.sh [--quick] [--check]
 #
 # --check evaluates the regression-gate table (one speedup gate per recorded
-# block) and exits non-zero if any applicable gate regressed — the step CI
+# block but freeze) and exits non-zero if any applicable gate regressed — the step CI
 # runs on every push (`AVG_LOCAL_THREADS=4 ./bench.sh --quick --check`).
 set -eu
 cd "$(dirname "$0")"

@@ -15,7 +15,7 @@
 //! under the algorithm being attacked.
 
 use avglocal_graph::{generators, Graph, IdAssignment, Identifier};
-use avglocal_runtime::{BallAlgorithm, BallExecutor, Knowledge};
+use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge};
 
 /// A function that, given the identifier arrangement of a cycle (position
 /// `i` holds identifier `arrangement[i]`), returns the per-node radii of the
@@ -34,8 +34,8 @@ where
 {
     move |arrangement: &[u64]| {
         let graph = cycle_with_arrangement(arrangement);
-        BallExecutor::new()
-            .run(&graph, &algorithm, Knowledge::none())
+        FrozenExecutor::new(&graph)
+            .run(&algorithm, Knowledge::none())
             .expect("radius oracle: the algorithm must terminate on every cycle")
             .radii()
             .to_vec()

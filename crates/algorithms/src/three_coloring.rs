@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::verify;
     use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::{BallExecutor, SyncExecutor};
+    use avglocal_runtime::{FrozenExecutor, SyncExecutor};
 
     fn ring(n: usize, seed: u64) -> Graph {
         let mut g = generators::cycle(n).unwrap();
@@ -313,7 +313,7 @@ mod tests {
             for seed in 0..4u64 {
                 let g = ring(n, seed);
                 let run =
-                    BallExecutor::new().run(&g, &LandmarkColoring, Knowledge::none()).unwrap();
+                    FrozenExecutor::new(&g).run(&LandmarkColoring, Knowledge::none()).unwrap();
                 assert!(
                     verify::is_proper_coloring(&g, run.outputs(), 4),
                     "n={n} seed={seed} colors={:?}",
@@ -332,7 +332,7 @@ mod tests {
             IdAssignment::Identity.apply(&mut g).unwrap();
             g
         };
-        let run = BallExecutor::new().run(&g, &LandmarkColoring, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LandmarkColoring, Knowledge::none()).unwrap();
         assert!(verify::is_proper_coloring(&g, run.outputs(), 4));
         assert_eq!(landmarks(&g).len(), 1);
         assert!(run.max_radius() >= 6);
@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn landmark_radius_profile_varies() {
         let g = ring(200, 9);
-        let run = BallExecutor::new().run(&g, &LandmarkColoring, Knowledge::none()).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LandmarkColoring, Knowledge::none()).unwrap();
         assert!(run.max_radius() > 2);
         assert!(run.average_radius() < run.max_radius() as f64);
     }

@@ -4,8 +4,8 @@
 //! freeze), the **skewed scheduling block** (clustered adversarial
 //! assignment, work-stealing vs static chunks vs the sequential reference),
 //! the **pool block** (many small trials on the persistent pool vs the
-//! spawn-per-call baseline), the **freeze block** (parallel vs serial
-//! `Graph::freeze`, bit-identical by assertion) and the **hub block** (the
+//! spawn-per-call baseline), the **freeze block** (`Graph::freeze` wall
+//! time and ns per arc, recorded without a gate) and the **hub block** (the
 //! E9 hub adversary on the committed preferential-attachment family: sweep
 //! wall time plus the measured edge/node detachment, gated at the
 //! regular-family sandwich bound of 2), the **service block** (sustained
@@ -23,7 +23,9 @@
 //!
 //! Writes `BENCH_e1.json` (next to the current working directory) so the
 //! repository keeps a perf trajectory across PRs, and exits non-zero if any
-//! two engines or schedules disagree on a radius or output.
+//! two engines or schedules disagree on a radius or output. The slower
+//! engines and schedules compared against live in
+//! [`avglocal_bench::baselines`].
 //!
 //! ```text
 //! cargo run --release -p avglocal-bench --bin bench_e1                # full sizes
@@ -36,11 +38,11 @@
 //! recorded block) and exits non-zero if any gate regresses below its
 //! threshold — this is the step CI runs on every push. Gates that only
 //! develop their full separation with real cores underneath the pool
-//! (skewed scheduling, freeze speedup) use their full threshold on
+//! (skewed scheduling) use their full threshold on
 //! `>= 4`-core machines in full mode and a relaxed *sanity* threshold
 //! elsewhere; the pool-reuse gate degrades only on a 1-participant pool
 //! (where both paths run inline), since its win comes from reusing workers,
-//! not from real parallelism. Every block is gated on every run.
+//! not from real parallelism. Every block but `freeze` is gated on every run.
 //!
 //! The worker-pool size is recorded in every block: scheduling comparisons
 //! only show wall-clock separation when the pool has real cores underneath
@@ -57,9 +59,8 @@ use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::analysis::recurrence::clustered_adversarial_arrangement;
 use avglocal::graph::CsrGraph;
 use avglocal::prelude::*;
-use avglocal::runtime::{
-    BallExecution, BallExecutor, FrozenExecutor, Knowledge, NodeBatchOptions, Scheduling,
-};
+use avglocal::runtime::{FrozenExecutor, Knowledge, NodeBatchOptions, ProbeOptions};
+use avglocal_bench::baselines;
 use avglocal_bench::load::{raw_probe_load, service_batch_load, service_load, LoadConfig};
 
 /// Repetitions per measurement; the minimum is reported.
@@ -96,8 +97,14 @@ struct PoolRow {
 struct FreezeRow {
     n: usize,
     edges: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
+    freeze_ms: f64,
+}
+
+impl FreezeRow {
+    /// Freeze wall time per arc (each undirected edge is two CSR arcs).
+    fn ns_per_arc(&self) -> f64 {
+        self.freeze_ms * 1e6 / (2 * self.edges) as f64
+    }
 }
 
 struct HubRow {
@@ -196,20 +203,6 @@ fn measure_probe_loop(graph: &Graph, mut probe: impl FnMut(NodeId) -> usize) -> 
     (total, best)
 }
 
-fn measure(executor: &BallExecutor, graph: &Graph) -> (BallExecution<bool>, f64) {
-    let mut best = f64::INFINITY;
-    let mut run = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let result = executor
-            .run(graph, &LargestId, Knowledge::none())
-            .expect("largest-ID terminates on every cycle");
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        run = Some(result);
-    }
-    (run.expect("REPS >= 1"), best)
-}
-
 /// Times `body` [`REPS`] times and returns `(last result, best ms)`.
 fn measure_ms<T>(mut body: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
@@ -240,10 +233,19 @@ fn main() -> ExitCode {
     for &n in sizes {
         let graph = cycle_with_assignment(n, &IdAssignment::Identity)
             .expect("cycles of the benchmarked sizes are valid");
-        let (fast, incremental_ms) = measure(&BallExecutor::new(), &graph);
-        let (slow, baseline_ms) = measure(&BallExecutor::from_scratch_baseline(), &graph);
-        assert_eq!(fast.radii(), slow.radii(), "engines disagree on radii at n={n}");
-        assert_eq!(fast.outputs(), slow.outputs(), "engines disagree on outputs at n={n}");
+        // The incremental side freezes inside the timed region, like the
+        // baseline extracts from the unfrozen graph.
+        let (fast, incremental_ms) = measure_ms(|| {
+            FrozenExecutor::new(&graph)
+                .run(&LargestId, Knowledge::none())
+                .expect("largest-ID terminates on every cycle")
+        });
+        let ((slow_outputs, slow_radii), baseline_ms) = measure_ms(|| {
+            baselines::from_scratch_run(&graph, &LargestId, Knowledge::none())
+                .expect("largest-ID terminates on every cycle")
+        });
+        assert_eq!(fast.radii(), slow_radii, "engines disagree on radii at n={n}");
+        assert_eq!(fast.outputs(), slow_outputs, "engines disagree on outputs at n={n}");
         println!(
             "{:>6} {:>14} {:>16.3} {:>13.3} {:>8.1}x",
             n,
@@ -265,12 +267,13 @@ fn main() -> ExitCode {
             .expect("cycles of the benchmarked sizes are valid");
         let session = FrozenExecutor::new(&graph);
         let (session_total, session_ms) = measure_probe_loop(&graph, |v| {
-            session.run_node(v, &LargestId, Knowledge::none()).expect("largest-ID terminates").1
+            session
+                .run_node_with(v, &LargestId, Knowledge::none(), ProbeOptions::new())
+                .expect("largest-ID terminates")
+                .1
         });
-        let per_call = BallExecutor::new();
         let (refreeze_total, refreeze_ms) = measure_probe_loop(&graph, |v| {
-            per_call
-                .run_node(&graph, v, &LargestId, Knowledge::none())
+            baselines::refreeze_run_node(&graph, v, &LargestId, Knowledge::none())
                 .expect("largest-ID terminates")
                 .1
         });
@@ -298,25 +301,20 @@ fn main() -> ExitCode {
     for &n in skew_sizes {
         let graph = cycle_with_assignment(n, &clustered_adversarial(n))
             .expect("cycles of the benchmarked sizes are valid");
-        let csr = graph.freeze();
-        let sequential_exec = BallExecutor::new();
+        let session = FrozenExecutor::new(&graph);
         let (sequential, sequential_ms) = measure_ms(|| {
-            sequential_exec
-                .run_frozen_sequential(&csr, &LargestId, Knowledge::none())
-                .expect("largest-ID terminates")
+            session.run_sequential(&LargestId, Knowledge::none()).expect("largest-ID terminates")
         });
-        let static_exec = BallExecutor::new().with_scheduling(Scheduling::StaticChunks);
-        let (static_run, static_ms) = measure_ms(|| {
-            static_exec.run_frozen(&csr, &LargestId, Knowledge::none()).expect("terminates")
+        let ((static_outputs, static_radii), static_ms) = measure_ms(|| {
+            baselines::static_chunks_run(session.csr(), &LargestId, Knowledge::none())
+                .expect("terminates")
         });
-        let stealing_exec = BallExecutor::new().with_scheduling(Scheduling::WorkStealing);
-        let (stealing_run, stealing_ms) = measure_ms(|| {
-            stealing_exec.run_frozen(&csr, &LargestId, Knowledge::none()).expect("terminates")
-        });
+        let (stealing_run, stealing_ms) =
+            measure_ms(|| session.run(&LargestId, Knowledge::none()).expect("terminates"));
         assert_eq!(stealing_run.radii(), sequential.radii(), "stealing diverged at n={n}");
         assert_eq!(stealing_run.outputs(), sequential.outputs(), "stealing diverged at n={n}");
-        assert_eq!(static_run.radii(), sequential.radii(), "static diverged at n={n}");
-        assert_eq!(static_run.outputs(), sequential.outputs(), "static diverged at n={n}");
+        assert_eq!(static_radii, sequential.radii(), "static diverged at n={n}");
+        assert_eq!(static_outputs, sequential.outputs(), "static diverged at n={n}");
         println!(
             "{:>6} {:>14} {:>14.3} {:>11.3} {:>13.3} {:>13.2}x",
             n,
@@ -341,26 +339,21 @@ fn main() -> ExitCode {
     println!("\nE1 pool reuse: {pool_trials} small runs at n={pool_n}, pool vs spawn-per-call");
     let pool_graph = cycle_with_assignment(pool_n, &IdAssignment::Identity)
         .expect("cycles of the benchmarked sizes are valid");
-    let pool_csr = pool_graph.freeze();
-    let ws_exec = BallExecutor::new();
+    let pool_session = FrozenExecutor::new(&pool_graph);
     let (pool_total, pool_ms) = measure_ms(|| {
         (0..pool_trials)
             .map(|_| {
-                ws_exec
-                    .run_frozen(&pool_csr, &LargestId, Knowledge::none())
-                    .expect("terminates")
-                    .total_radius()
+                pool_session.run(&LargestId, Knowledge::none()).expect("terminates").total_radius()
             })
             .sum::<usize>()
     });
-    let static_exec = BallExecutor::new().with_scheduling(Scheduling::StaticChunks);
     let (spawn_total, spawn_ms) = measure_ms(|| {
         (0..pool_trials)
             .map(|_| {
-                static_exec
-                    .run_frozen(&pool_csr, &LargestId, Knowledge::none())
-                    .expect("terminates")
-                    .total_radius()
+                let (_, radii) =
+                    baselines::static_chunks_run(pool_session.csr(), &LargestId, Knowledge::none())
+                        .expect("terminates");
+                radii.iter().sum::<usize>()
             })
             .sum::<usize>()
     });
@@ -375,33 +368,20 @@ fn main() -> ExitCode {
     );
     let pool_row = PoolRow { n: pool_n, trials: pool_trials, pool_ms, spawn_ms };
 
-    // The freeze datapoint: parallel vs serial `Graph::freeze` (degree
-    // count, offset prefix sum, adjacency scatter and the connected-
-    // components labelling pass) — the last O(n + m) serial step in front of
-    // every parallel sweep. The two snapshots must be bit-identical (CSR
-    // arrays, identifiers and component labels).
+    // The freeze datapoint: `Graph::freeze` (one serial copy pass over the
+    // adjacency lists plus the BFS connected-components labelling), the
+    // O(n + m) step in front of every sweep, recorded per arc.
     let freeze_sizes: &[usize] = if quick { &[1 << 14, 1 << 16] } else { &[1 << 16, 1 << 18] };
-    println!("\nE1 freeze: parallel vs serial Graph::freeze, {threads} thread(s)");
-    println!(
-        "{:>8} {:>8} {:>11} {:>13} {:>9}",
-        "n", "edges", "serial ms", "parallel ms", "speedup"
-    );
+    println!("\nE1 freeze: Graph::freeze wall time per arc");
+    println!("{:>8} {:>8} {:>11} {:>11}", "n", "edges", "freeze ms", "ns/arc");
     let mut freeze_rows = Vec::new();
     for &n in freeze_sizes {
         let graph = cycle_with_assignment(n, &IdAssignment::Identity)
             .expect("cycles of the benchmarked sizes are valid");
-        let (serial, serial_ms) = measure_ms(|| graph.freeze_serial());
-        let (parallel, parallel_ms) = measure_ms(|| graph.freeze_parallel());
-        assert_eq!(serial, parallel, "parallel freeze diverged from serial at n={n}");
-        println!(
-            "{:>8} {:>8} {:>11.3} {:>13.3} {:>8.2}x",
-            n,
-            serial.edge_count(),
-            serial_ms,
-            parallel_ms,
-            serial_ms / parallel_ms
-        );
-        freeze_rows.push(FreezeRow { n, edges: serial.edge_count(), serial_ms, parallel_ms });
+        let (csr, freeze_ms) = measure_ms(|| graph.freeze());
+        let row = FreezeRow { n, edges: csr.edge_count(), freeze_ms };
+        println!("{:>8} {:>8} {:>11.3} {:>11.2}", n, row.edges, freeze_ms, row.ns_per_arc());
+        freeze_rows.push(row);
     }
 
     // The snapshot datapoint: the versioned binary codec around `CsrGraph`
@@ -616,10 +596,8 @@ fn main() -> ExitCode {
     for &n in sampling_sizes {
         let csr = sampling_graph(n);
         let session = FrozenExecutor::from_csr(csr.clone());
-        let exec = BallExecutor::new();
-        let (exact_run, exact_ms) = measure_ms(|| {
-            exec.run_frozen(&csr, &KnowTheLeader, Knowledge::none()).expect("terminates")
-        });
+        let (exact_run, exact_ms) =
+            measure_ms(|| session.run(&KnowTheLeader, Knowledge::none()).expect("terminates"));
         let exact =
             MeasureSet::of_csr(&RadiusProfile::new(exact_run.radii().to_vec()), &csr).node_averaged;
         let plan = SamplePlan::Uniform { budget: n / 10 };
@@ -692,7 +670,7 @@ fn main() -> ExitCode {
     json.push_str("  ],\n  \"run_node\": {\n");
     json.push_str(
         "    \"description\": \"per-node probes: FrozenExecutor session reuse vs \
-         BallExecutor::run_node freezing per call\",\n",
+         a snapshot frozen per call\",\n",
     );
     let _ = writeln!(json, "    \"threads\": {threads},");
     json.push_str("    \"rows\": [\n");
@@ -746,21 +724,20 @@ fn main() -> ExitCode {
     );
     json.push_str("  },\n  \"freeze\": {\n");
     json.push_str(
-        "    \"description\": \"Graph::freeze parallel vs serial: degree count, offset prefix \
-         sum, adjacency scatter and connected-components labelling; snapshots bit-identical \
-         by assertion\",\n",
+        "    \"description\": \"Graph::freeze: one serial pass copying the adjacency lists \
+         into the CSR arrays, plus the BFS connected-components labelling; recorded per arc \
+         (2 per edge), no gate\",\n",
     );
     let _ = writeln!(json, "    \"threads\": {threads},");
     json.push_str("    \"rows\": [\n");
     for (i, row) in freeze_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "      {{\"n\": {}, \"edges\": {}, \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.2}}}{}",
+            "      {{\"n\": {}, \"edges\": {}, \"freeze_ms\": {:.3}, \"ns_per_arc\": {:.2}}}{}",
             row.n,
             row.edges,
-            row.serial_ms,
-            row.parallel_ms,
-            row.serial_ms / row.parallel_ms,
+            row.freeze_ms,
+            row.ns_per_arc(),
             if i + 1 == freeze_rows.len() { "" } else { "," }
         );
     }
@@ -895,11 +872,11 @@ fn main() -> ExitCode {
     fs::write("BENCH_e1.json", &json).expect("BENCH_e1.json must be writable");
     println!("\nwrote BENCH_e1.json");
 
-    // The regression-gate table: one gate per recorded block, evaluated on
-    // every run. The scheduling separation and the freeze speedup only
-    // develop their full ratios with >= 4 real cores underneath the pool and
-    // full-size inputs, so elsewhere (quick mode, undersized machines) they
-    // gate at a relaxed sanity threshold instead — enough to catch a
+    // The regression-gate table: one gate per recorded block but `freeze`,
+    // evaluated on every run. The scheduling separation only develops its
+    // full ratio with >= 4 real cores underneath the pool and full-size
+    // inputs, so elsewhere (quick mode, undersized machines) it gates at a
+    // relaxed sanity threshold instead — enough to catch a
     // pathological regression without flaking on shared CI runners. The
     // pool-reuse gate degrades the same way on a 1-participant pool, where
     // both paths run inline and there is no spawn overhead to save.
@@ -934,15 +911,6 @@ fn main() -> ExitCode {
             strong_separation,
             1.5,
             0.33,
-        ));
-    }
-    if let Some(last) = freeze_rows.last() {
-        gates.push(Gate::scaled(
-            "freeze: parallel vs serial Graph::freeze",
-            last.serial_ms / last.parallel_ms,
-            strong_separation,
-            1.15,
-            0.25,
         ));
     }
     // The snapshot gates: format density is a deterministic property of the

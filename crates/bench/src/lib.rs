@@ -29,6 +29,7 @@
 //! cargo run --release -p avglocal-bench --bin experiments -- --e1    # one table
 //! ```
 
+pub mod baselines;
 pub mod load;
 pub mod tables;
 

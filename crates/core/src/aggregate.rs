@@ -164,7 +164,7 @@ mod tests {
 
     use avglocal_graph::{generators, IdAssignment, NodeId};
     use avglocal_runtime::examples::NaiveLargestId;
-    use avglocal_runtime::{BallExecutor, Knowledge};
+    use avglocal_runtime::Knowledge;
     use avglocal_service::{ServiceConfig, ServiceError, TestClock};
 
     fn service_on_shuffled_cycle(n: usize, seed: u64) -> RadiusQueryService<NaiveLargestId> {
@@ -183,9 +183,8 @@ mod tests {
     fn aggregate_replies_match_the_sequential_measurement() {
         let service = service_on_shuffled_cycle(48, 11);
         let pinned = service.pin();
-        let reference = BallExecutor::new()
-            .run_frozen_sequential(pinned.session().csr(), &NaiveLargestId, Knowledge::none())
-            .unwrap();
+        let reference =
+            pinned.session().run_sequential(&NaiveLargestId, Knowledge::none()).unwrap();
         let radii: Vec<usize> = (0..48).map(|v| reference.radius(NodeId::new(v))).collect();
         let profile = RadiusProfile::new(radii.clone());
 

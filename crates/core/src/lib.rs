@@ -126,7 +126,7 @@ pub mod prelude {
         generators, ComponentLabels, ComponentMode, Graph, IdAssignment, Identifier, NodeId,
         Permutation, Topology,
     };
-    pub use avglocal_runtime::{BallExecutor, FrozenExecutor, Knowledge, SyncExecutor};
+    pub use avglocal_runtime::{FrozenExecutor, Knowledge, SyncExecutor};
 }
 
 #[cfg(test)]

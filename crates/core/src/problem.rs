@@ -11,7 +11,7 @@ use avglocal_algorithms::{
     LandmarkColoring, LargestId,
 };
 use avglocal_graph::{ComponentLabels, Graph};
-use avglocal_runtime::{BallAlgorithm, BallExecution, BallExecutor, FrozenExecutor, Knowledge};
+use avglocal_runtime::{BallAlgorithm, BallExecution, FrozenExecutor, Knowledge};
 
 use crate::error::{CoreError, Result};
 use crate::profile::RadiusProfile;
@@ -84,7 +84,7 @@ impl Problem {
     }
 
     /// Returns `true` when the problem's algorithm runs through the ball
-    /// view ([`BallExecutor`] / [`FrozenExecutor`]) — these are the problems
+    /// view ([`FrozenExecutor`]) — these are the problems
     /// whose sweep trials can share one frozen adjacency snapshot.
     ///
     /// The match is deliberately exhaustive (no wildcard) and mirrors which
@@ -205,7 +205,7 @@ impl Problem {
         {
             match session {
                 Some(frozen) => frozen.run(algorithm, knowledge),
-                None => BallExecutor::new().run(graph, algorithm, knowledge),
+                None => FrozenExecutor::new(graph).run(algorithm, knowledge),
             }
         }
 

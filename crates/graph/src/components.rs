@@ -9,17 +9,11 @@
 //! lets callers choose between the historical "reject disconnected
 //! instances" behaviour and the explicit per-component semantics.
 //!
-//! Labels are computed at freeze time by [`crate::Graph::freeze`]: the
-//! parallel path runs a lock-free union-find over the CSR edge array (hook
-//! the higher root onto the lower via compare-and-swap, so the final root of
-//! every component is its minimum node index regardless of scheduling), the
-//! serial path a plain BFS sweep. Both produce **bit-identical** labellings
-//! because the canonical form — components numbered by smallest member,
-//! sizes in label order — is independent of discovery order.
-
-use std::sync::atomic::{AtomicU32, Ordering};
-
-use rayon::prelude::*;
+//! Labels are computed at freeze time by [`crate::Graph::freeze`], with a
+//! BFS sweep over the CSR arrays. The canonical form — components numbered
+//! by smallest member, sizes in label order — is independent of discovery
+//! order, so [`ComponentLabels::of_graph`] and the frozen labelling agree
+//! exactly.
 
 use crate::{Graph, NodeId};
 
@@ -46,7 +40,7 @@ pub enum ComponentMode {
 ///
 /// Component `c` is the `c`-th component in order of smallest node index, so
 /// two labellings of the same graph are equal no matter how they were
-/// computed — the property the parallel freeze is property-tested against.
+/// computed.
 ///
 /// # Examples
 ///
@@ -79,71 +73,22 @@ impl ComponentLabels {
     #[must_use]
     pub fn of_graph(graph: &Graph) -> Self {
         let n = graph.node_count();
-        serial_labels(n, |v, queue_cb| {
+        bfs_labels(n, |v, queue_cb| {
             for &u in graph.neighbors(NodeId::new(v as usize)) {
                 queue_cb(u.index() as u32);
             }
         })
     }
 
-    /// Labels the components of a CSR adjacency with a sequential BFS sweep
-    /// — the serial reference the parallel labelling is tested against.
+    /// Labels the components of a CSR adjacency with a sequential BFS sweep.
     #[must_use]
-    pub(crate) fn of_csr_serial(offsets: &[u32], targets: &[u32]) -> Self {
+    pub(crate) fn of_csr(offsets: &[u32], targets: &[u32]) -> Self {
         let n = offsets.len() - 1;
-        serial_labels(n, |v, queue_cb| {
+        bfs_labels(n, |v, queue_cb| {
             for &u in &targets[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
                 queue_cb(u);
             }
         })
-    }
-
-    /// Labels the components of a CSR adjacency with a parallel lock-free
-    /// union-find over the edge array.
-    ///
-    /// Every edge is processed by hooking the **higher** of the two current
-    /// roots onto the lower one with a compare-and-swap, so the final root
-    /// of each component is its minimum node index — a canonical choice that
-    /// makes the result independent of how the pool interleaved the unions.
-    /// The labelling is therefore bit-identical to
-    /// [`ComponentLabels::of_csr_serial`] by construction (and by property
-    /// test).
-    #[must_use]
-    pub(crate) fn of_csr_parallel(offsets: &[u32], targets: &[u32]) -> Self {
-        let n = offsets.len() - 1;
-        if n == 0 {
-            return ComponentLabels { labels: Vec::new(), sizes: Vec::new() };
-        }
-        let parents: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-        // Union every edge; nodes are claimed in dynamic chunks from the
-        // pool, and each node unions its forward edges (u > v), so every
-        // undirected edge is processed exactly once.
-        (0..n).into_par_iter().for_each(|v| {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            for &u in &targets[lo..hi] {
-                if (u as usize) > v {
-                    union(&parents, v as u32, u);
-                }
-            }
-        });
-        // All unions are done (the parallel call is a barrier): flatten every
-        // node to its root in parallel, then compact the roots to labels in
-        // node order.
-        let roots: Vec<u32> = (0..n).into_par_iter().map(|v| find(&parents, v as u32)).collect();
-        let mut label_of_root = vec![u32::MAX; n];
-        let mut labels = Vec::with_capacity(n);
-        let mut sizes: Vec<u32> = Vec::new();
-        for &root in &roots {
-            let slot = &mut label_of_root[root as usize];
-            if *slot == u32::MAX {
-                *slot = sizes.len() as u32;
-                sizes.push(0);
-            }
-            labels.push(*slot);
-            sizes[*slot as usize] += 1;
-        }
-        ComponentLabels { labels, sizes }
     }
 
     /// Number of connected components (0 for the empty graph).
@@ -190,7 +135,7 @@ impl ComponentLabels {
 
 /// Sequential BFS labelling over any adjacency representation: `neighbors`
 /// is called with a node and a callback receiving each neighbour.
-fn serial_labels(n: usize, neighbors: impl Fn(u32, &mut dyn FnMut(u32))) -> ComponentLabels {
+fn bfs_labels(n: usize, neighbors: impl Fn(u32, &mut dyn FnMut(u32))) -> ComponentLabels {
     let mut labels = vec![u32::MAX; n];
     let mut sizes: Vec<u32> = Vec::new();
     let mut queue: Vec<u32> = Vec::new();
@@ -214,51 +159,6 @@ fn serial_labels(n: usize, neighbors: impl Fn(u32, &mut dyn FnMut(u32))) -> Comp
         sizes.push(size);
     }
     ComponentLabels { labels, sizes }
-}
-
-/// Follows parent pointers to the root of `x`, halving the path as it goes.
-///
-/// The halving stores only ever replace a parent with a *current ancestor*
-/// (guarded by compare-and-swap), so concurrent finds remain correct.
-fn find(parents: &[AtomicU32], mut x: u32) -> u32 {
-    loop {
-        let parent = parents[x as usize].load(Ordering::Acquire);
-        if parent == x {
-            return x;
-        }
-        let grandparent = parents[parent as usize].load(Ordering::Acquire);
-        if grandparent != parent {
-            // Path halving: skip over `parent`. A failed CAS just means
-            // someone else already improved the pointer.
-            let _ = parents[x as usize].compare_exchange(
-                parent,
-                grandparent,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-        }
-        x = parent;
-    }
-}
-
-/// Merges the sets containing `a` and `b`, hooking the higher root onto the
-/// lower so the surviving root of every component is its minimum node.
-fn union(parents: &[AtomicU32], a: u32, b: u32) {
-    loop {
-        let root_a = find(parents, a);
-        let root_b = find(parents, b);
-        if root_a == root_b {
-            return;
-        }
-        let (high, low) = if root_a > root_b { (root_a, root_b) } else { (root_b, root_a) };
-        if parents[high as usize]
-            .compare_exchange(high, low, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            return;
-        }
-        // `high` stopped being a root under us; retry with fresh roots.
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_csr_labellings_agree() {
+    fn csr_labelling_agrees_with_graph_labelling() {
         let graphs = [
             generators::cycle(64).unwrap(),
             generators::path(33).unwrap(),
@@ -353,11 +253,10 @@ mod tests {
             },
         ];
         for g in &graphs {
-            let csr = g.freeze_serial();
-            let serial = ComponentLabels::of_csr_serial(csr.offsets(), csr.targets());
-            let parallel = ComponentLabels::of_csr_parallel(csr.offsets(), csr.targets());
-            assert_eq!(serial, parallel);
-            assert_matches_traversal(g, &serial);
+            let csr = g.freeze();
+            let labels = ComponentLabels::of_csr(csr.offsets(), csr.targets());
+            assert_eq!(labels, ComponentLabels::of_graph(g));
+            assert_matches_traversal(g, &labels);
         }
     }
 

@@ -492,6 +492,53 @@ mod tests {
     }
 
     #[test]
+    fn epoch_wrap_clears_stale_stamps() {
+        // The stamp clear in `reset` runs once every 2^32 - 1 resets. Start
+        // two resets short of the wrap with every node stamped at epoch 1, a
+        // stale mark that would alias the first post-wrap epoch if the clear
+        // were skipped, and compare each re-centred ball against a fresh
+        // grower at every radius.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut ring = generators::cycle(16).unwrap();
+        IdAssignment::Shuffled { seed: 7 }.apply(&mut ring).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let hubs = generators::preferential_attachment(40, 2, &mut rng).unwrap();
+        for g in [&ring, &hubs] {
+            let csr = g.freeze();
+            let n = csr.node_count();
+            let scratch = GrowerScratch {
+                stamp: vec![1; n],
+                pos: vec![0; n],
+                epoch: u32::MAX - 1,
+                ..GrowerScratch::default()
+            };
+            let mut reused = BallGrower::with_scratch(&csr, NodeId::new(0), scratch);
+            for center in [0, 5, 9, 3, 12, 0] {
+                reused.reset(NodeId::new(center));
+                let mut fresh = BallGrower::new(&csr, NodeId::new(center));
+                loop {
+                    assert_eq!(reused.members(), fresh.members(), "centre {center}");
+                    for i in 0..fresh.node_count() {
+                        assert_eq!(reused.distance_of_index(i), fresh.distance_of_index(i));
+                    }
+                    assert_eq!(reused.is_saturated(), fresh.is_saturated());
+                    assert_eq!(reused.snapshot_ball(), fresh.snapshot_ball());
+                    if fresh.is_saturated() {
+                        break;
+                    }
+                    reused.grow();
+                    fresh.grow();
+                }
+            }
+            // Seven resets from `u32::MAX - 1`: the epoch wrapped to 1 on the
+            // second and has counted on from there.
+            assert_eq!(reused.into_scratch().epoch, 6);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "ball centre must be in the graph")]
     fn rejects_missing_center() {
         let g = generators::cycle(3).unwrap();

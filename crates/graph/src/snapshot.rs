@@ -275,7 +275,7 @@ impl CsrGraph {
         }
         // Component labelling: recompute the canonical labelling from the
         // now-validated adjacency and demand the stored one matches exactly.
-        let components = ComponentLabels::of_csr_serial(&offsets, &targets);
+        let components = ComponentLabels::of_csr(&offsets, &targets);
         if components.count() != cc {
             return Err(corrupt(
                 36,

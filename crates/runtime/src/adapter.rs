@@ -111,9 +111,9 @@ impl<B: BallAlgorithm> RoundAlgorithm for GatherAdapter<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ball_executor::BallExecutor;
     use crate::examples::NaiveLargestId;
     use crate::executor::SyncExecutor;
+    use crate::frozen::FrozenExecutor;
     use crate::knowledge::Knowledge;
     use avglocal_graph::{generators, Graph, IdAssignment};
 
@@ -127,7 +127,7 @@ mod tests {
     fn adapter_rounds_equal_ball_radii_on_cycles() {
         for seed in 0..5u64 {
             let g = shuffled_cycle(17, seed);
-            let ball_run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let ball_run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let round_run = SyncExecutor::new()
                 .run(&g, &GatherAdapter::new(NaiveLargestId), Knowledge::none())
                 .unwrap();
@@ -153,7 +153,7 @@ mod tests {
         );
         for mut g in graphs {
             IdAssignment::Shuffled { seed: 11 }.apply(&mut g).unwrap();
-            let ball_run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let ball_run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let round_run = SyncExecutor::new()
                 .run(&g, &GatherAdapter::new(NaiveLargestId), Knowledge::none())
                 .unwrap();

@@ -7,7 +7,7 @@
 //! * the **round-based view** ([`SyncExecutor`] + [`RoundAlgorithm`]):
 //!   synchronous message passing where every node may commit to its output at
 //!   a different round and keeps relaying messages afterwards;
-//! * the **ball view** ([`BallExecutor`] + [`BallAlgorithm`]): every node
+//! * the **ball view** ([`FrozenExecutor`] + [`BallAlgorithm`]): every node
 //!   grows the radius of the ball it sees until it can output; the radius of
 //!   the first decision is the node's cost `r(v)`.
 //!
@@ -20,36 +20,38 @@
 //! adversarial search over identifier assignments) live in the `avglocal`
 //! crate; this crate only produces exact per-node radii.
 //!
-//! The ball executor runs on a frozen CSR snapshot of the graph and grows
-//! each node's view **incrementally** (see [`avglocal_graph::BallGrower`]),
-//! handing algorithms a lazy [`LocalView`] whose cheap queries never
-//! materialise the induced subgraph. Nodes are processed in parallel on a
-//! persistent work-stealing pool with **dynamically claimed chunks** — the
-//! right scheduling for the paper's skewed per-node costs, where one node
-//! pays `Θ(n)` while the rest pay `O(1)` — and results are index-addressed,
-//! so outputs, radii and error selection stay bit-identical to a sequential
-//! run ([`BallExecutor::run_frozen_sequential`]). The static-partition
-//! scheduling ([`Scheduling::StaticChunks`]) and the quadratic from-scratch
-//! probing ([`BallExecutor::from_scratch_baseline`]) remain available as
-//! measured baselines for benches and equivalence tests.
+//! The ball view has one executor and one engine. [`FrozenExecutor`] freezes
+//! the graph into a CSR snapshot once and grows each node's view
+//! **incrementally** (see [`avglocal_graph::BallGrower`]), handing algorithms
+//! a lazy [`LocalView`] whose cheap queries never materialise the induced
+//! subgraph. Its three entry points share that engine:
 //!
-//! Callers probing many single nodes should use [`FrozenExecutor`], the
-//! session counterpart of [`BallExecutor::run_node`]: it freezes the graph
-//! once and reuses the grower scratch across probes, so each probe is
-//! `Θ(ball(v))` instead of paying an `O(n + m)` freeze per call.
+//! * [`FrozenExecutor::run`] probes every node in parallel on a persistent
+//!   work-stealing pool with **dynamically claimed chunks** — the right
+//!   scheduling for the paper's skewed per-node costs, where one node pays
+//!   `Θ(n)` while the rest pay `O(1)`. Results are index-addressed, so
+//!   outputs, radii and error selection stay bit-identical to the sequential
+//!   reference [`FrozenExecutor::run_sequential`].
+//! * [`FrozenExecutor::run_node_with`] probes one node, optionally under a
+//!   cooperative cancellation hook ([`ProbeOptions`]).
+//! * [`FrozenExecutor::run_nodes_with`] probes an arbitrary node list in
+//!   dynamically claimed shards ([`NodeBatchOptions`]).
+//!
+//! The session keeps its grower scratch buffers warm across calls, so every
+//! probe after the first costs `Θ(ball(v))`.
 //!
 //! # Example
 //!
 //! ```
 //! use avglocal_graph::{generators, IdAssignment};
-//! use avglocal_runtime::{BallExecutor, Knowledge};
+//! use avglocal_runtime::{FrozenExecutor, Knowledge};
 //! use avglocal_runtime::examples::NaiveLargestId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut ring = generators::cycle(64)?;
 //! IdAssignment::Shuffled { seed: 2025 }.apply(&mut ring)?;
 //!
-//! let run = BallExecutor::new().run(&ring, &NaiveLargestId, Knowledge::none())?;
+//! let run = FrozenExecutor::new(&ring).run(&NaiveLargestId, Knowledge::none())?;
 //! // Worst-case cost is linear in n, but the average is much smaller.
 //! assert_eq!(run.max_radius(), 32);
 //! assert!(run.average_radius() < 8.0);
@@ -63,7 +65,6 @@
 
 mod adapter;
 mod algorithm;
-mod ball_executor;
 mod error;
 pub mod examples;
 mod executor;
@@ -76,10 +77,9 @@ mod view;
 
 pub use adapter::{GatherAdapter, GatherState, Record};
 pub use algorithm::{BallAlgorithm, NodeContext, RoundAlgorithm};
-pub use ball_executor::{BallExecution, BallExecutor, GrowthStrategy, Scheduling};
 pub use error::{Result, RuntimeError};
 pub use executor::{Execution, SyncExecutor};
-pub use frozen::{FrozenExecutor, NodeBatchOptions, ProbeOptions};
+pub use frozen::{BallExecution, FrozenExecutor, NodeBatchOptions, ProbeOptions};
 pub use knowledge::Knowledge;
 pub use message::{broadcast, Envelope};
 pub use trace::{RoundStats, Trace};
@@ -101,7 +101,7 @@ mod proptests {
         fn views_agree_on_random_cycles(n in 3usize..40, seed in 0u64..200) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let ball = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let ball = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let rounds = SyncExecutor::new()
                 .run(&g, &GatherAdapter::new(NaiveLargestId), Knowledge::none())
                 .unwrap();
@@ -118,7 +118,7 @@ mod proptests {
         fn largest_id_has_unique_winner(n in 3usize..60, seed in 0u64..200) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             let winners: Vec<_> = g.nodes().filter(|&v| *run.output(v)).collect();
             prop_assert_eq!(winners.len(), 1);
             prop_assert_eq!(run.radius(winners[0]), n / 2);
@@ -130,7 +130,7 @@ mod proptests {
         fn average_bounded_by_max(n in 3usize..50, seed in 0u64..100) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let run = BallExecutor::new().run(&g, &NaiveLargestId, Knowledge::none()).unwrap();
+            let run = FrozenExecutor::new(&g).run(&NaiveLargestId, Knowledge::none()).unwrap();
             prop_assert!(run.average_radius() <= run.max_radius() as f64);
             prop_assert!(run.average_radius() >= 0.0);
         }

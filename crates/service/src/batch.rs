@@ -46,7 +46,7 @@ pub enum Consistency {
 /// Options shared by single and batched queries.
 ///
 /// The default asks for the configured default deadline on the pinned
-/// generation — exactly what [`RadiusQueryService::query`] does.
+/// generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryOptions {
     /// Deadline budget in clock ticks; `None` uses the service's
@@ -322,10 +322,8 @@ where
         let clock = self.clock();
         let start = clock.now();
         let cancel = move |_radius: usize| clock.now().saturating_sub(start) >= budget;
-        let options = NodeBatchOptions::new()
-            .with_scheduling(self.config().batch_scheduling)
-            .with_shard(self.config().batch_shard)
-            .with_cancel(&cancel);
+        let options =
+            NodeBatchOptions::new().with_shard(self.config().batch_shard).with_cancel(&cancel);
         let results = generation.session().run_nodes_with(
             &nodes,
             self.algorithm(),

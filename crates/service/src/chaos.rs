@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use avglocal_graph::{generators, CsrGraph, IdAssignment, NodeId};
 use avglocal_runtime::examples::NaiveLargestId;
-use avglocal_runtime::{BallExecution, BallExecutor, Knowledge};
+use avglocal_runtime::{BallExecution, FrozenExecutor, Knowledge};
 use rayon::prelude::*;
 
 use crate::batch::{BatchOutcome, Consistency, QueryOptions, QueryRequest};
@@ -214,8 +214,8 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
     let references: Vec<BallExecution<bool>> = graphs
         .iter()
         .map(|csr| {
-            BallExecutor::new()
-                .run_frozen_sequential(csr, &NaiveLargestId, Knowledge::none())
+            FrozenExecutor::from_csr(csr.clone())
+                .run_sequential(&NaiveLargestId, Knowledge::none())
                 .expect("sequential reference")
         })
         .collect();
@@ -259,11 +259,12 @@ pub fn run_chaos(plan: &ChaosPlan) -> ChaosReport {
                         let result = if plan.deadline_every > 0 && q % plan.deadline_every == 0 {
                             // Already-expired budget: a scripted deadline
                             // fault, cancelled deterministically at radius 0.
-                            service.query_with_deadline(node, 0)
+                            service.query_with(node, QueryOptions::new().with_deadline(0))
                         } else if plan.latest_every > 0 && q % plan.latest_every == 0 {
-                            service.query_latest(node)
+                            let latest = Consistency::Latest { retry_limit: 3 };
+                            service.query_with(node, QueryOptions::new().with_consistency(latest))
                         } else {
-                            service.query(node)
+                            service.query_with(node, QueryOptions::new())
                         };
                         match result {
                             Ok(reply) => {

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use avglocal_runtime::Scheduling;
-
 /// Tunables of a [`RadiusQueryService`](crate::RadiusQueryService).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -20,11 +18,8 @@ pub struct ServiceConfig {
     /// Deadline budget, in clock ticks, of queries that do not bring their
     /// own ([`u64::MAX`] = effectively unlimited).
     pub default_deadline: u64,
-    /// How many times a latest-consistency query retries after losing its
-    /// pinned generation to a swap.
-    pub retry_limit: u32,
-    /// Backoff before retry `k` (1-based) is `backoff_base << (k - 1)`
-    /// ticks — bounded exponential.
+    /// Backoff before retry `k` (1-based) of a latest-consistency query is
+    /// `backoff_base << (k - 1)` ticks, saturating at `u64::MAX`.
     pub backoff_base: u64,
     /// Optional ball-radius hard limit applied to every generation's
     /// session (see [`avglocal_runtime::FrozenExecutor::with_max_radius`]).
@@ -34,8 +29,6 @@ pub struct ServiceConfig {
     /// the paper's skewed per-node costs; larger shards amortise claim
     /// traffic on huge uniform batches.
     pub batch_shard: usize,
-    /// How batch shards are distributed over the persistent pool.
-    pub batch_scheduling: Scheduling,
 }
 
 impl Default for ServiceConfig {
@@ -43,11 +36,9 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_in_flight: 64,
             default_deadline: u64::MAX,
-            retry_limit: 3,
             backoff_base: 1,
             max_radius: None,
             batch_shard: 1,
-            batch_scheduling: Scheduling::WorkStealing,
         }
     }
 }
@@ -93,13 +84,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Sets the latest-consistency retry limit.
-    #[must_use]
-    pub fn retry_limit(mut self, retries: u32) -> Self {
-        self.config.retry_limit = retries;
-        self
-    }
-
     /// Sets the backoff base. Zero is rejected by [`Self::build`].
     #[must_use]
     pub fn backoff_base(mut self, ticks: u64) -> Self {
@@ -118,13 +102,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn batch_shard(mut self, nodes: usize) -> Self {
         self.config.batch_shard = nodes;
-        self
-    }
-
-    /// Sets the batch scheduling strategy.
-    #[must_use]
-    pub fn batch_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.config.batch_scheduling = scheduling;
         self
     }
 
@@ -212,21 +189,17 @@ mod tests {
         let config = ServiceConfig::builder()
             .max_in_flight(4)
             .default_deadline(100)
-            .retry_limit(7)
             .backoff_base(2)
             .max_radius(Some(9))
             .batch_shard(32)
-            .batch_scheduling(Scheduling::StaticChunks)
             .build()
             .unwrap();
         let expected = ServiceConfig {
             max_in_flight: 4,
             default_deadline: 100,
-            retry_limit: 7,
             backoff_base: 2,
             max_radius: Some(9),
             batch_shard: 32,
-            batch_scheduling: Scheduling::StaticChunks,
         };
         assert_eq!(config, expected);
     }

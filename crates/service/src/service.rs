@@ -37,10 +37,8 @@
 //! Pinned consistency (the default) serves from the generation pinned at
 //! admission; latest consistency re-probes with bounded exponential backoff
 //! when a swap invalidated the pinned generation mid-probe, giving up with
-//! [`ServiceError::StaleGeneration`]. The historical names
-//! ([`RadiusQueryService::query`], [`RadiusQueryService::query_with_deadline`],
-//! [`RadiusQueryService::query_latest`]) are thin wrappers over
-//! [`RadiusQueryService::query_with`].
+//! [`ServiceError::StaleGeneration`]. [`RadiusQueryService::query_with`]
+//! answers one node and [`RadiusQueryService::query_batch`] many.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,7 +46,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use avglocal_graph::{CsrGraph, GraphError, NodeId};
-use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, RuntimeError};
+use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, ProbeOptions, RuntimeError};
 
 use crate::batch::{Consistency, QueryOptions};
 use crate::clock::Clock;
@@ -148,7 +146,7 @@ pub(crate) struct Counters {
 /// use std::sync::Arc;
 /// use avglocal_graph::{generators, NodeId};
 /// use avglocal_runtime::{examples::NaiveLargestId, Knowledge};
-/// use avglocal_service::{RadiusQueryService, ServiceConfig, TestClock};
+/// use avglocal_service::{QueryOptions, RadiusQueryService, ServiceConfig, TestClock};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let csr = generators::cycle(16)?.freeze();
@@ -159,7 +157,7 @@ pub(crate) struct Counters {
 ///     Arc::new(TestClock::new()),
 ///     ServiceConfig::default(),
 /// );
-/// let reply = service.query(NodeId::new(3))?;
+/// let reply = service.query_with(NodeId::new(3), QueryOptions::new())?;
 /// assert_eq!(reply.epoch, 1);
 /// # Ok(())
 /// # }
@@ -296,53 +294,10 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         options.deadline.unwrap_or(self.config.default_deadline)
     }
 
-    /// Queries `node` on the currently published generation with the
-    /// configured default deadline. Equivalent to
-    /// [`RadiusQueryService::query_with`] with default [`QueryOptions`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Overloaded`] when shed at admission,
-    /// [`ServiceError::DeadlineExceeded`] when the budget expires mid-probe,
-    /// [`ServiceError::Probe`] for algorithm/runtime failures.
-    pub fn query(&self, node: NodeId) -> Result<QueryReply<A::Output>> {
-        self.query_with(node, QueryOptions::new())
-    }
-
-    /// Like [`RadiusQueryService::query`] with an explicit deadline budget
-    /// in clock ticks. Equivalent to [`RadiusQueryService::query_with`]
-    /// with `QueryOptions::new().with_deadline(budget)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RadiusQueryService::query`].
-    pub fn query_with_deadline(&self, node: NodeId, budget: u64) -> Result<QueryReply<A::Output>> {
-        self.query_with(node, QueryOptions::new().with_deadline(budget))
-    }
-
-    /// Queries `node`, insisting the answer come from a generation that is
-    /// **still current** when the probe completes: if a swap invalidated the
-    /// pinned generation mid-probe, the query retries (with bounded
-    /// exponential backoff) on the new one. Equivalent to
-    /// [`RadiusQueryService::query_with`] with
-    /// `Consistency::Latest { retry_limit }` taken from the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RadiusQueryService::query`], plus
-    /// [`ServiceError::StaleGeneration`] when `retry_limit` consecutive
-    /// attempts were each invalidated by a swap. Each attempt gets the full
-    /// default deadline budget.
-    pub fn query_latest(&self, node: NodeId) -> Result<QueryReply<A::Output>> {
-        self.query_with(
-            node,
-            QueryOptions::new()
-                .with_consistency(Consistency::Latest { retry_limit: self.config.retry_limit }),
-        )
-    }
-
-    /// The single-node entry point every `query*` wrapper forwards to: one
-    /// admission slot, then one probe per consistency attempt.
+    /// Queries `node` on the currently published generation: one admission
+    /// slot, then one probe per consistency attempt. Default
+    /// [`QueryOptions`] use the configured default deadline and serve from
+    /// the generation pinned at admission.
     ///
     /// # Errors
     ///
@@ -385,7 +340,7 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
             }
             tries += 1;
             self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            self.clock.sleep(self.config.backoff_base << (tries - 1));
+            self.clock.sleep(backoff(self.config.backoff_base, tries));
         }
     }
 
@@ -419,11 +374,12 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
         }
         let start = self.clock.now();
         let clock = self.clock.as_ref();
-        let result = generation.session.run_node_with_cancel(
+        let mut expired = |_radius: usize| clock.now().saturating_sub(start) >= budget;
+        let result = generation.session.run_node_with(
             node,
             &self.algorithm,
             self.knowledge,
-            &mut |_radius| clock.now().saturating_sub(start) >= budget,
+            ProbeOptions::new().with_cancel(&mut expired),
         );
         match result {
             Ok((output, radius)) => Ok(QueryReply { output, radius, epoch: generation.epoch }),
@@ -512,13 +468,21 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Backoff before retry `tries` (1-based): `base << (tries - 1)` ticks,
+/// saturating at `u64::MAX` instead of dropping high bits, so the sleep
+/// never shrinks as the retries grow.
+fn backoff(base: u64, tries: u32) -> u64 {
+    let factor = 1u64.checked_shl(tries.saturating_sub(1)).unwrap_or(u64::MAX);
+    base.saturating_mul(factor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::TestClock;
     use avglocal_graph::generators;
     use avglocal_runtime::examples::NaiveLargestId;
-    use avglocal_runtime::BallExecutor;
+    use avglocal_runtime::FrozenExecutor;
 
     fn service_on_cycle(n: usize, config: ServiceConfig) -> RadiusQueryService<NaiveLargestId> {
         RadiusQueryService::new(
@@ -533,8 +497,8 @@ mod tests {
     #[test]
     fn answers_match_the_sequential_reference() {
         let csr = generators::grid(4, 5).unwrap().freeze();
-        let reference = BallExecutor::new()
-            .run_frozen_sequential(&csr, &NaiveLargestId, Knowledge::none())
+        let reference = FrozenExecutor::from_csr(csr.clone())
+            .run_sequential(&NaiveLargestId, Knowledge::none())
             .unwrap();
         let service = RadiusQueryService::new(
             NaiveLargestId,
@@ -544,7 +508,7 @@ mod tests {
             ServiceConfig::default(),
         );
         for v in (0..20).map(NodeId::new) {
-            let reply = service.query(v).unwrap();
+            let reply = service.query_with(v, QueryOptions::new()).unwrap();
             assert_eq!(reply.output, *reference.output(v));
             assert_eq!(reply.radius, reference.radius(v));
             assert_eq!(reply.epoch, 1);
@@ -557,7 +521,7 @@ mod tests {
         assert_eq!(service.current_epoch(), 1);
         let epoch = service.publish_csr(generators::cycle(12).unwrap().freeze()).unwrap();
         assert_eq!(epoch, 2);
-        let reply = service.query(NodeId::new(10)).unwrap();
+        let reply = service.query_with(NodeId::new(10), QueryOptions::new()).unwrap();
         assert_eq!(reply.epoch, 2);
         assert_eq!(service.stats().publishes, 2);
     }
@@ -581,7 +545,7 @@ mod tests {
         assert_eq!(service.current_epoch(), 1);
         assert_eq!(service.stats().publish_panicked, 1);
         // The service still answers on the rolled-back-to generation.
-        assert_eq!(service.query(NodeId::new(0)).unwrap().epoch, 1);
+        assert_eq!(service.query_with(NodeId::new(0), QueryOptions::new()).unwrap().epoch, 1);
     }
 
     #[test]
@@ -599,7 +563,7 @@ mod tests {
     fn admission_bound_sheds_typed() {
         let service =
             service_on_cycle(8, ServiceConfig { max_in_flight: 0, ..ServiceConfig::default() });
-        let err = service.query(NodeId::new(0)).unwrap_err();
+        let err = service.query_with(NodeId::new(0), QueryOptions::new()).unwrap_err();
         assert!(matches!(err, ServiceError::Overloaded { limit: 0, .. }), "{err}");
         assert_eq!(service.stats().shed, 1);
         assert_eq!(service.stats().admitted, 0);
@@ -611,8 +575,8 @@ mod tests {
         // are admitted again once load drops.
         let service =
             service_on_cycle(8, ServiceConfig { max_in_flight: 1, ..ServiceConfig::default() });
-        assert!(service.query(NodeId::new(0)).is_ok());
-        assert!(service.query(NodeId::new(1)).is_ok());
+        assert!(service.query_with(NodeId::new(0), QueryOptions::new()).is_ok());
+        assert!(service.query_with(NodeId::new(1), QueryOptions::new()).is_ok());
         assert_eq!(service.stats().shed, 0);
     }
 
@@ -627,18 +591,21 @@ mod tests {
             Arc::new(TestClock::with_autotick(1)),
             ServiceConfig::default(),
         );
-        let err = service.query_with_deadline(NodeId::new(0), 0).unwrap_err();
+        let err =
+            service.query_with(NodeId::new(0), QueryOptions::new().with_deadline(0)).unwrap_err();
         assert!(matches!(err, ServiceError::DeadlineExceeded { budget: 0, radius: 0 }), "{err}");
         assert_eq!(service.stats().deadline_expired, 1);
         // A generous budget completes.
-        let reply = service.query_with_deadline(NodeId::new(0), u64::MAX).unwrap();
+        let reply = service
+            .query_with(NodeId::new(0), QueryOptions::new().with_deadline(u64::MAX))
+            .unwrap();
         assert_eq!(reply.epoch, 1);
     }
 
     #[test]
     fn out_of_bounds_node_is_a_typed_probe_error() {
         let service = service_on_cycle(8, ServiceConfig::default());
-        let err = service.query(NodeId::new(8)).unwrap_err();
+        let err = service.query_with(NodeId::new(8), QueryOptions::new()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -652,12 +619,13 @@ mod tests {
     }
 
     #[test]
-    fn query_latest_returns_current_epoch_answers() {
+    fn latest_consistency_returns_current_epoch_answers() {
         let service = service_on_cycle(16, ServiceConfig::default());
-        let reply = service.query_latest(NodeId::new(3)).unwrap();
+        let latest = QueryOptions::new().with_consistency(Consistency::Latest { retry_limit: 3 });
+        let reply = service.query_with(NodeId::new(3), latest).unwrap();
         assert_eq!(reply.epoch, 1);
         service.publish_csr(generators::cycle(16).unwrap().freeze()).unwrap();
-        let reply = service.query_latest(NodeId::new(3)).unwrap();
+        let reply = service.query_with(NodeId::new(3), latest).unwrap();
         assert_eq!(reply.epoch, 2);
     }
 
@@ -681,10 +649,29 @@ mod tests {
             Arc::new(TestClock::new()),
             ServiceConfig { max_radius: Some(2), ..ServiceConfig::default() },
         );
-        let err = service.query(NodeId::new(0)).unwrap_err();
+        let err = service.query_with(NodeId::new(0), QueryOptions::new()).unwrap_err();
         assert!(
             matches!(err, ServiceError::Probe(RuntimeError::RoundLimitExceeded { limit: 2, .. })),
             "{err}"
         );
+    }
+
+    #[test]
+    fn latest_backoff_saturates_instead_of_overflowing() {
+        // The retry limit comes from the caller, so any attempt count is
+        // reachable: the backoff must never panic, wrap or shrink.
+        let attempts = [1u32, 2, 63, 64, 65, 1000, u32::MAX];
+        for base in [1u64, 2, 3, 1 << 40, u64::MAX] {
+            let sleeps: Vec<u64> = attempts.iter().map(|&k| backoff(base, k)).collect();
+            assert_eq!(sleeps[0], base, "base {base}");
+            assert!(sleeps.windows(2).all(|w| w[0] <= w[1]), "base {base}: {sleeps:?}");
+            assert_eq!(*sleeps.last().unwrap(), u64::MAX, "base {base}");
+        }
+        assert_eq!(backoff(1, 63), 1 << 62);
+        assert_eq!(backoff(1, 64), 1 << 63);
+        assert_eq!(backoff(1, 65), u64::MAX);
+        assert_eq!(backoff(3, 63), 3 << 62);
+        assert_eq!(backoff(3, 64), u64::MAX);
+        assert_eq!(backoff(u64::MAX, 2), u64::MAX);
     }
 }

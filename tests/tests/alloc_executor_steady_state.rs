@@ -78,7 +78,7 @@ fn steady_state_run_frozen_allocations_are_bounded_per_run() {
     let budget = 64;
     assert!(
         per_run < budget,
-        "steady-state run_frozen must not allocate per probe: \
+        "steady-state FrozenExecutor::run must not allocate per probe: \
          {per_run} allocations per run over {n} nodes (budget {budget})"
     );
 }

@@ -6,7 +6,8 @@
 use avglocal::algorithms::LargestId;
 use avglocal::graph::{extract_ball, generators, BallGrower};
 use avglocal::prelude::*;
-use avglocal::runtime::{BallExecutor, Knowledge, LocalView};
+use avglocal::runtime::{FrozenExecutor, Knowledge, LocalView};
+use avglocal_bench::baselines;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,14 +50,13 @@ fn assert_grower_matches_extraction(g: &Graph) {
 /// Checks that the incremental executor and the from-scratch baseline agree
 /// on every radius and output of the largest-ID algorithm on `g`.
 fn assert_executors_agree(g: &Graph) {
-    let fast = BallExecutor::new()
-        .run(g, &LargestId, Knowledge::none())
+    let fast = FrozenExecutor::new(g)
+        .run(&LargestId, Knowledge::none())
         .expect("largest-ID terminates on every graph");
-    let slow = BallExecutor::from_scratch_baseline()
-        .run(g, &LargestId, Knowledge::none())
+    let (slow_outputs, slow_radii) = baselines::from_scratch_run(g, &LargestId, Knowledge::none())
         .expect("largest-ID terminates on every graph");
-    assert_eq!(fast.radii(), slow.radii());
-    assert_eq!(fast.outputs(), slow.outputs());
+    assert_eq!(fast.radii(), slow_radii);
+    assert_eq!(fast.outputs(), slow_outputs);
 }
 
 fn shuffled(mut g: Graph, seed: u64) -> Graph {

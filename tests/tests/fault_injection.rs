@@ -3,7 +3,7 @@
 //! The `rayon` compat pool exposes a test-only failpoint facility
 //! (`rayon::failpoints`): a plan armed on the publishing thread makes worker
 //! chunks panic and/or stall on a schedule. These tests drive real
-//! [`FrozenExecutor`]/[`BallExecutor`] runs through injected panic storms and
+//! [`FrozenExecutor`] runs through injected panic storms and
 //! delays to prove the robustness claims stated in the pool docs:
 //!
 //! * a panic storm never kills the process or wedges the pool;
@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use avglocal::prelude::*;
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallAlgorithm, LocalView, RuntimeError, Scheduling};
+use avglocal::runtime::{BallAlgorithm, LocalView, RuntimeError};
 use avglocal_integration_tests::shuffled_ring;
 use proptest::prelude::*;
 use rayon::failpoints::{arm, disarm, Plan};
@@ -103,7 +103,7 @@ fn injected_panic_storms_leave_the_session_usable() {
 #[test]
 fn algorithm_panics_rethrow_the_first_node_in_order() {
     let graph = shuffled_ring(384, 21);
-    let csr = graph.freeze();
+    let session = FrozenExecutor::new(&graph);
     // Roughly a quarter of the nodes panic; the payload re-thrown must name
     // the first panicking node in *index* order (via its unique identifier),
     // not whichever worker happened to fail first.
@@ -114,46 +114,38 @@ fn algorithm_panics_rethrow_the_first_node_in_order() {
         .expect("some node carries a small identifier");
     let algorithm = PanicBelow { threshold };
 
-    for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
-        let executor = BallExecutor::new().with_scheduling(scheduling);
-        for round in 0..4 {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                executor.run_frozen(&csr, &algorithm, Knowledge::none())
-            }));
-            let payload = caught.expect_err("marked nodes must panic the run");
-            assert_eq!(
-                payload_message(payload.as_ref()),
-                format!("deliberate panic at id {expected_id}"),
-                "{scheduling:?}, round {round}"
-            );
-        }
+    for round in 0..4 {
+        let caught = catch_unwind(AssertUnwindSafe(|| session.run(&algorithm, Knowledge::none())));
+        let payload = caught.expect_err("marked nodes must panic the run");
+        assert_eq!(
+            payload_message(payload.as_ref()),
+            format!("deliberate panic at id {expected_id}"),
+            "round {round}"
+        );
     }
 }
 
 #[test]
 fn first_typed_error_in_node_order_survives_delay_injection() {
     let graph = shuffled_ring(256, 5);
-    let csr = graph.freeze();
+    let session = FrozenExecutor::new(&graph);
     // Mark three identifiers scattered across the ring; the reported
     // `NonTerminating` node must be the smallest index among them.
     let marked: HashSet<u64> =
         [40, 170, 230].iter().map(|&v| graph.identifier(NodeId::new(v)).value()).collect();
     let algorithm = RefuseMarked { refuse: marked };
 
-    let want = BallExecutor::new()
-        .run_frozen_sequential(&csr, &algorithm, Knowledge::none())
+    let want = session
+        .run_sequential(&algorithm, Knowledge::none())
         .expect_err("refusing nodes must error");
     assert_eq!(want, RuntimeError::NonTerminating { node: NodeId::new(40) });
 
-    for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
-        let executor = BallExecutor::new().with_scheduling(scheduling);
-        for round in 0..4 {
-            arm(Plan::new().delay_every(3, 80));
-            let got = executor.run_frozen(&csr, &algorithm, Knowledge::none());
-            disarm();
-            let got = got.expect_err("refusing nodes must error");
-            assert_eq!(got, want, "{scheduling:?}, round {round}");
-        }
+    for round in 0..4 {
+        arm(Plan::new().delay_every(3, 80));
+        let got = session.run(&algorithm, Knowledge::none());
+        disarm();
+        let got = got.expect_err("refusing nodes must error");
+        assert_eq!(got, want, "round {round}");
     }
 }
 
@@ -196,8 +188,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random delay plans perturb which worker claims which chunk when;
-    /// outputs and radii must stay bit-identical to the sequential reference
-    /// on both schedules.
+    /// outputs and radii must stay bit-identical to the sequential reference.
     #[test]
     fn delayed_interleavings_stay_bit_identical_to_sequential(
         n in 8usize..160,
@@ -206,25 +197,15 @@ proptest! {
         micros in 0u64..150,
     ) {
         let graph = shuffled_ring(n, seed);
-        let csr = graph.freeze();
-        let want = BallExecutor::new()
-            .run_frozen_sequential(&csr, &NaiveLargestId, Knowledge::none())
-            .unwrap();
+        let session = FrozenExecutor::new(&graph);
+        let want = session.run_sequential(&NaiveLargestId, Knowledge::none()).unwrap();
 
         arm(Plan::new().delay_every(every, micros));
-        let stealing = BallExecutor::new()
-            .with_scheduling(Scheduling::WorkStealing)
-            .run_frozen(&csr, &NaiveLargestId, Knowledge::none());
-        let chunked = BallExecutor::new()
-            .with_scheduling(Scheduling::StaticChunks)
-            .run_frozen(&csr, &NaiveLargestId, Knowledge::none());
+        let stealing = session.run(&NaiveLargestId, Knowledge::none());
         disarm();
 
         let stealing = stealing.unwrap();
-        let chunked = chunked.unwrap();
         prop_assert_eq!(stealing.outputs(), want.outputs());
         prop_assert_eq!(stealing.radii(), want.radii());
-        prop_assert_eq!(chunked.outputs(), want.outputs());
-        prop_assert_eq!(chunked.radii(), want.radii());
     }
 }

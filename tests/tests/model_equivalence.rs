@@ -11,8 +11,8 @@ use proptest::prelude::*;
 fn gather_adapter_matches_ball_executor_on_cycles() {
     for n in test_sizes() {
         let g = shuffled_ring(n, 5);
-        let ball = BallExecutor::new()
-            .run(&g, &avglocal::algorithms::LargestId, Knowledge::none())
+        let ball = FrozenExecutor::new(&g)
+            .run(&avglocal::algorithms::LargestId, Knowledge::none())
             .unwrap();
         let rounds = SyncExecutor::new()
             .run(&g, &GatherAdapter::new(avglocal::algorithms::LargestId), Knowledge::none())
@@ -40,7 +40,7 @@ fn gather_adapter_matches_ball_executor_on_other_topologies() {
     ];
     for (i, g) in graphs.iter_mut().enumerate() {
         IdAssignment::Shuffled { seed: i as u64 }.apply(g).unwrap();
-        let ball = BallExecutor::new().run(g, &NaiveLargestId, Knowledge::none()).unwrap();
+        let ball = FrozenExecutor::new(g).run(&NaiveLargestId, Knowledge::none()).unwrap();
         let rounds = SyncExecutor::new()
             .run(g, &GatherAdapter::new(NaiveLargestId), Knowledge::none())
             .unwrap();

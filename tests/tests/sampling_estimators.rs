@@ -14,15 +14,15 @@
 //!    reason the stratified plan exists).
 //!
 //! Plus the determinism leg: same `(seed, plan)` → bit-identical sample set
-//! and estimate across WorkStealing/StaticChunks (and both CI thread legs,
-//! which run this whole suite); disjoint seeds → disjoint sample streams.
+//! and estimate across batch shard sizes (and both CI thread legs, which run
+//! this whole suite); disjoint seeds → disjoint sample streams.
 
 use std::sync::Arc;
 
 use avglocal::algorithms::{KnowTheLeader, LargestId};
 use avglocal::prelude::*;
 use avglocal::runtime::examples::NaiveLargestId;
-use avglocal::runtime::{BallAlgorithm, BallExecutor, NodeBatchOptions, Scheduling};
+use avglocal::runtime::{BallAlgorithm, NodeBatchOptions};
 use avglocal::sampling::SampleQueries;
 use avglocal::service::{QueryOptions, RadiusQueryService, ServiceConfig, TestClock};
 use avglocal::{hub_adversarial_assignment, SamplePlan};
@@ -35,7 +35,8 @@ where
     A: BallAlgorithm + Sync,
     A::Output: Send,
 {
-    let run = BallExecutor::new().run_frozen_sequential(csr, algo, Knowledge::none()).unwrap();
+    let run =
+        FrozenExecutor::from_csr(csr.clone()).run_sequential(algo, Knowledge::none()).unwrap();
     (0..csr.node_count()).map(|v| run.radius(NodeId::new(v))).collect()
 }
 
@@ -248,8 +249,10 @@ fn service_query_sample_pins_one_generation_and_matches_offline_estimation() {
     assert_eq!(second.epoch, 2, "the sample must be drawn from the newly pinned generation");
 }
 
-/// Same (seed, plan) → bit-identical sample set and estimate across both
-/// schedulings; the CI thread matrix runs this under 1 and 4 threads.
+/// Same (seed, plan) → bit-identical sample set and estimate whichever shard
+/// size the probes are scheduled in, equal to the estimate over the
+/// sequential reference radii; the CI thread matrix runs this under 1 and 4
+/// threads.
 #[test]
 fn estimates_are_bit_identical_across_schedulings() {
     for csr in census_families() {
@@ -261,18 +264,19 @@ fn estimates_are_bit_identical_across_schedulings() {
         ] {
             let sample = plan.draw(&csr, plan.seed_for(3, 0));
             let session = FrozenExecutor::from_csr(csr.clone());
-            let mut estimates = Vec::new();
-            for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
+            let exact = exact_radii(&csr, &LargestId);
+            let reference: Vec<usize> = sample.nodes().iter().map(|v| exact[v.index()]).collect();
+            let want = sample.estimate(&reference);
+            for shard in [1usize, 3, 64] {
                 let radii = Problem::LargestId
                     .probe_radii(
                         &session,
                         sample.nodes(),
-                        &NodeBatchOptions::new().with_scheduling(scheduling),
+                        &NodeBatchOptions::new().with_shard(shard),
                     )
                     .unwrap();
-                estimates.push(sample.estimate(&radii));
+                assert_eq!(sample.estimate(&radii), want, "{plan:?}, shard {shard}");
             }
-            assert_eq!(estimates[0], estimates[1], "{plan:?}");
         }
     }
 }
@@ -281,8 +285,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Drawing is a pure function of (plan, graph, seed): two draws agree
-    /// bit for bit, and probing the drawn set under either scheduling gives
-    /// the same estimate.
+    /// bit for bit, and probing the drawn set under different shard sizes
+    /// gives the same estimate.
     #[test]
     fn sampled_estimates_are_deterministic(
         k in 8usize..32,
@@ -305,18 +309,18 @@ proptest! {
         prop_assert_eq!(&first, &second);
 
         let session = FrozenExecutor::from_csr(csr.clone());
-        let stealing = Problem::LargestId.probe_radii(
+        let per_node = Problem::LargestId.probe_radii(
             &session,
             first.nodes(),
-            &NodeBatchOptions::new().with_scheduling(Scheduling::WorkStealing),
+            &NodeBatchOptions::new(),
         ).unwrap();
-        let chunked = Problem::LargestId.probe_radii(
+        let sharded = Problem::LargestId.probe_radii(
             &session,
             first.nodes(),
-            &NodeBatchOptions::new().with_scheduling(Scheduling::StaticChunks),
+            &NodeBatchOptions::new().with_shard(5),
         ).unwrap();
-        prop_assert_eq!(&stealing, &chunked);
-        prop_assert_eq!(first.estimate(&stealing), second.estimate(&chunked));
+        prop_assert_eq!(&per_node, &sharded);
+        prop_assert_eq!(first.estimate(&per_node), second.estimate(&sharded));
     }
 
     /// Disjoint base seeds derive disjoint sample streams: different stream

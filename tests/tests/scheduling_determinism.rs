@@ -3,14 +3,14 @@
 //! The persistent pool claims chunks dynamically, so which participant runs
 //! which node — and in which order — varies from run to run. These tests pin
 //! down the property the whole experiment harness relies on: outputs, radii
-//! and error selection of `run_frozen` are **bit-identical** to a sequential
-//! left-to-right run, on every topology family, under maximally skewed
+//! and error selection of `FrozenExecutor::run` are **bit-identical** to the
+//! sequential left-to-right reference (`FrozenExecutor::run_sequential`), on every topology family, under maximally skewed
 //! (adversarial) identifier assignments, and across repeated runs.
 
 use avglocal::algorithms::LargestId;
 use avglocal::analysis::recurrence::clustered_adversarial_arrangement;
 use avglocal::prelude::*;
-use avglocal::runtime::{BallExecutor, Knowledge, Scheduling};
+use avglocal::runtime::Knowledge;
 use proptest::prelude::*;
 
 /// The scheduler-adversarial assignment from the skewed bench: the paper's
@@ -51,26 +51,11 @@ fn stealing_matches_sequential_on_all_families_under_skew() {
         for assignment in skewed_assignments(&topology, n) {
             let mut graph = topology.build(n).unwrap();
             assignment.apply(&mut graph).unwrap();
-            let csr = graph.freeze();
-            let reference = BallExecutor::new()
-                .run_frozen_sequential(&csr, &LargestId, Knowledge::none())
-                .unwrap();
-            for scheduling in [Scheduling::WorkStealing, Scheduling::StaticChunks] {
-                let run = BallExecutor::new()
-                    .with_scheduling(scheduling)
-                    .run_frozen(&csr, &LargestId, Knowledge::none())
-                    .unwrap();
-                assert_eq!(
-                    run.outputs(),
-                    reference.outputs(),
-                    "{topology}, {assignment:?}, {scheduling:?}"
-                );
-                assert_eq!(
-                    run.radii(),
-                    reference.radii(),
-                    "{topology}, {assignment:?}, {scheduling:?}"
-                );
-            }
+            let session = FrozenExecutor::new(&graph);
+            let reference = session.run_sequential(&LargestId, Knowledge::none()).unwrap();
+            let run = session.run(&LargestId, Knowledge::none()).unwrap();
+            assert_eq!(run.outputs(), reference.outputs(), "{topology}, {assignment:?}");
+            assert_eq!(run.radii(), reference.radii(), "{topology}, {assignment:?}");
         }
     }
 }
@@ -125,13 +110,9 @@ proptest! {
         };
         let mut graph = topology.build(n).unwrap();
         IdAssignment::Shuffled { seed }.apply(&mut graph).unwrap();
-        let csr = graph.freeze();
-        let reference = BallExecutor::new()
-            .run_frozen_sequential(&csr, &LargestId, Knowledge::none())
-            .unwrap();
-        let stolen = BallExecutor::new()
-            .run_frozen(&csr, &LargestId, Knowledge::none())
-            .unwrap();
+        let session = FrozenExecutor::new(&graph);
+        let reference = session.run_sequential(&LargestId, Knowledge::none()).unwrap();
+        let stolen = session.run(&LargestId, Knowledge::none()).unwrap();
         prop_assert_eq!(stolen.outputs(), reference.outputs());
         prop_assert_eq!(stolen.radii(), reference.radii());
     }

@@ -7,8 +7,8 @@
 //! 1. a sweep on [`Topology::Cycle`] is **bit-for-bit** the old
 //!    `run_on_cycle` pipeline — rows, summaries, and determinism under
 //!    parallel trials;
-//! 2. [`FrozenExecutor::run_node`] matches [`BallExecutor::run_node`] on
-//!    every supported topology;
+//! 2. a reused [`FrozenExecutor`] session probes every node of every
+//!    supported topology exactly like a session frozen for each probe;
 //! 3. a `G(n, p)` family that cannot produce a connected instance is a loud
 //!    error, never a silently component-local measurement.
 
@@ -16,6 +16,7 @@ use avglocal::analysis::Summary;
 use avglocal::graph::GraphError;
 use avglocal::prelude::*;
 use avglocal::runtime::examples::NaiveLargestId;
+use avglocal::runtime::ProbeOptions;
 use avglocal::{CoreError, SweepResult};
 use proptest::prelude::*;
 
@@ -108,8 +109,8 @@ proptest! {
         prop_assert_eq!(build(true), build(false));
     }
 
-    /// The frozen session and the per-call executor agree on every node of
-    /// every supported topology, probe for probe.
+    /// A reused frozen session and a session frozen per call agree on every
+    /// node of every supported topology, probe for probe.
     #[test]
     fn frozen_session_matches_per_call_run_node(
         size_idx in 0usize..UNIVERSAL_SIZES.len(),
@@ -123,13 +124,12 @@ proptest! {
                 &IdAssignment::Shuffled { seed },
             ).unwrap();
             let session = FrozenExecutor::new(&graph);
-            let per_call = BallExecutor::new();
             for v in graph.nodes() {
-                let fresh = per_call
-                    .run_node(&graph, v, &NaiveLargestId, Knowledge::none())
+                let fresh = FrozenExecutor::new(&graph)
+                    .run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
                     .unwrap();
                 let reused = session
-                    .run_node(v, &NaiveLargestId, Knowledge::none())
+                    .run_node_with(v, &NaiveLargestId, Knowledge::none(), ProbeOptions::new())
                     .unwrap();
                 prop_assert_eq!(fresh, reused, "{} node {:?}", topology, v);
             }
