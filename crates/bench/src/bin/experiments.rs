@@ -1,4 +1,4 @@
-//! Prints the result tables of experiments E1–E8 (see `EXPERIMENTS.md`).
+//! Prints the result tables of experiments E1–E9 (see `EXPERIMENTS.md`).
 //!
 //! Usage:
 //!
@@ -11,34 +11,31 @@
 //! cargo run --release -p avglocal-bench --bin experiments -- --quick # reduced sizes
 //! cargo run --release -p avglocal-bench --bin experiments -- --csv   # CSV output
 //! ```
+//!
+//! Any other argument is rejected with a usage line and exit code 2.
 
 use std::env;
+use std::process::ExitCode;
 
-use avglocal_bench::tables;
+use avglocal_bench::{check_flags, TABLES};
 
-fn main() {
+const FLAGS: &[&str] =
+    &["--quick", "--csv", "--e1", "--e2", "--e3", "--e4", "--e5", "--e6", "--e7", "--e8", "--e9"];
+
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
+    if let Err(message) = check_flags("experiments", &args, FLAGS) {
+        eprintln!("{message}");
+        return ExitCode::from(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
     let selected: Vec<usize> =
         (1..=9).filter(|i| args.iter().any(|a| a == &format!("--e{i}"))).collect();
     let run_all = selected.is_empty();
 
-    type TableBuilder = fn(bool) -> avglocal::report::Table;
-    let builders: [(usize, TableBuilder); 9] = [
-        (1, tables::table_e1),
-        (2, tables::table_e2),
-        (3, tables::table_e3),
-        (4, tables::table_e4),
-        (5, tables::table_e5),
-        (6, tables::table_e6),
-        (7, tables::table_e7),
-        (8, tables::table_e8),
-        (9, tables::table_e9),
-    ];
-
     println!("avglocal experiment harness ({} sizes)\n", if quick { "quick" } else { "full" });
-    for (id, build) in builders {
+    for (id, build) in (1..).zip(TABLES) {
         if run_all || selected.contains(&id) {
             let table = build(quick);
             if csv {
@@ -68,4 +65,5 @@ fn main() {
             println!("{}", avglocal_bench::figure_f5(quick));
         }
     }
+    ExitCode::SUCCESS
 }

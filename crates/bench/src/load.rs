@@ -93,6 +93,66 @@ fn report(
     }
 }
 
+/// The service every service-path run answers from: one generation on the
+/// `config.nodes`-cycle, with admission room for every reader.
+fn load_service(config: &LoadConfig) -> RadiusQueryService<LargestId> {
+    let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
+    let service_config =
+        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
+    RadiusQueryService::new(
+        LargestId,
+        Knowledge::none(),
+        csr,
+        Arc::new(WallClock::new()),
+        service_config,
+    )
+}
+
+/// The reader loop every path shares: one scoped thread per reader walks
+/// its script in requests of `request_size` nodes, timing each `serve` call
+/// on the wall clock. `serve` answers one request and returns its
+/// `(summed radius, completed entries)`.
+fn drive_readers(
+    config: &LoadConfig,
+    request_size: usize,
+    serve: impl Fn(&[NodeId]) -> (u64, u64) + Sync,
+) -> LoadReport {
+    let clock = WallClock::new();
+    let started = clock.now();
+    let per_reader = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..config.readers)
+            .map(|reader| {
+                let (serve, clock) = (&serve, &clock);
+                scope.spawn(move || {
+                    let script: Vec<NodeId> = reader_script(config, reader).collect();
+                    let mut latencies = Vec::with_capacity(script.len().div_ceil(request_size));
+                    let (mut total_radius, mut completed) = (0u64, 0u64);
+                    for request in script.chunks(request_size) {
+                        let before = clock.now();
+                        let (radius, entries) = serve(request);
+                        latencies.push(clock.now().saturating_sub(before));
+                        total_radius += radius;
+                        completed += entries;
+                    }
+                    (latencies, total_radius, completed)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("load readers do not panic"))
+            .collect::<Vec<_>>()
+    });
+    let mut latencies = Vec::new();
+    let (mut total_radius, mut completed) = (0u64, 0u64);
+    for (reader_latencies, reader_radius, reader_completed) in per_reader {
+        latencies.extend(reader_latencies);
+        total_radius += reader_radius;
+        completed += reader_completed;
+    }
+    report(&clock, started, latencies, total_radius, completed)
+}
+
 /// Runs the load through the full service layer: admission, deadline
 /// bookkeeping and epoch pinning on every query.
 ///
@@ -103,51 +163,12 @@ fn report(
 /// must complete.
 #[must_use]
 pub fn service_load(config: &LoadConfig) -> LoadReport {
-    let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
-    let service_config =
-        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
-    let clock = WallClock::new();
-    let service = RadiusQueryService::new(
-        LargestId,
-        Knowledge::none(),
-        csr,
-        Arc::new(WallClock::new()),
-        service_config,
-    );
-    let started = clock.now();
-    let per_reader = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.readers)
-            .map(|reader| {
-                let service = &service;
-                let clock = &clock;
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(config.queries_per_reader);
-                    let mut total_radius = 0u64;
-                    for node in reader_script(config, reader) {
-                        let before = clock.now();
-                        let reply = service
-                            .query_with(node, QueryOptions::new())
-                            .expect("load queries complete");
-                        latencies.push(clock.now().saturating_sub(before));
-                        total_radius += reply.radius as u64;
-                    }
-                    (latencies, total_radius)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load readers do not panic"))
-            .collect::<Vec<_>>()
-    });
-    let mut latencies = Vec::new();
-    let mut total_radius = 0u64;
-    for (reader_latencies, reader_radius) in per_reader {
-        latencies.extend(reader_latencies);
-        total_radius += reader_radius;
-    }
-    let completed = latencies.len() as u64;
-    report(&clock, started, latencies, total_radius, completed)
+    let service = load_service(config);
+    drive_readers(config, 1, |request| {
+        let reply =
+            service.query_with(request[0], QueryOptions::new()).expect("load queries complete");
+        (reply.radius as u64, 1)
+    })
 }
 
 /// Runs the same per-reader node scripts through the **batched** query
@@ -168,56 +189,13 @@ pub fn service_load(config: &LoadConfig) -> LoadReport {
 /// nodes) every entry must complete.
 #[must_use]
 pub fn service_batch_load(config: &LoadConfig, batch_size: usize) -> LoadReport {
-    let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
-    let service_config =
-        ServiceConfig { max_in_flight: config.readers.max(1) * 2, ..ServiceConfig::default() };
-    let clock = WallClock::new();
-    let service = RadiusQueryService::new(
-        LargestId,
-        Knowledge::none(),
-        csr,
-        Arc::new(WallClock::new()),
-        service_config,
-    );
-    let batch_size = batch_size.max(1);
-    let started = clock.now();
-    let per_reader = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.readers)
-            .map(|reader| {
-                let service = &service;
-                let clock = &clock;
-                scope.spawn(move || {
-                    let script: Vec<NodeId> = reader_script(config, reader).collect();
-                    let mut latencies = Vec::with_capacity(script.len().div_ceil(batch_size));
-                    let mut total_radius = 0u64;
-                    let mut completed = 0u64;
-                    for chunk in script.chunks(batch_size) {
-                        let request = QueryRequest::nodes(chunk.to_vec(), QueryOptions::new());
-                        let before = clock.now();
-                        let reply = service.query_batch(&request).expect("load batches admit");
-                        latencies.push(clock.now().saturating_sub(before));
-                        let radii = reply.radii().expect("load batch entries complete");
-                        total_radius += radii.iter().map(|&r| r as u64).sum::<u64>();
-                        completed += radii.len() as u64;
-                    }
-                    (latencies, total_radius, completed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load readers do not panic"))
-            .collect::<Vec<_>>()
-    });
-    let mut latencies = Vec::new();
-    let mut total_radius = 0u64;
-    let mut completed = 0u64;
-    for (reader_latencies, reader_radius, reader_completed) in per_reader {
-        latencies.extend(reader_latencies);
-        total_radius += reader_radius;
-        completed += reader_completed;
-    }
-    report(&clock, started, latencies, total_radius, completed)
+    let service = load_service(config);
+    drive_readers(config, batch_size.max(1), |batch| {
+        let request = QueryRequest::nodes(batch.to_vec(), QueryOptions::new());
+        let reply = service.query_batch(&request).expect("load batches admit");
+        let radii = reply.radii().expect("load batch entries complete");
+        (radii.iter().map(|&r| r as u64).sum(), radii.len() as u64)
+    })
 }
 
 /// Runs the identical load straight on a shared [`FrozenExecutor`] session:
@@ -231,43 +209,14 @@ pub fn service_batch_load(config: &LoadConfig, batch_size: usize) -> LoadReport 
 pub fn raw_probe_load(config: &LoadConfig) -> LoadReport {
     let csr = generators::cycle(config.nodes).expect("load cycles are valid").freeze();
     let session = FrozenExecutor::from_csr(csr);
-    let clock = WallClock::new();
-    let started = clock.now();
-    let per_reader = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.readers)
-            .map(|reader| {
-                let session = &session;
-                let clock = &clock;
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(config.queries_per_reader);
-                    let mut total_radius = 0u64;
-                    for node in reader_script(config, reader) {
-                        let before = clock.now();
-                        let mut never = |_: usize| false;
-                        let options = ProbeOptions::new().with_cancel(&mut never);
-                        let (_, radius) = session
-                            .run_node_with(node, &LargestId, Knowledge::none(), options)
-                            .expect("load probes complete");
-                        latencies.push(clock.now().saturating_sub(before));
-                        total_radius += radius as u64;
-                    }
-                    (latencies, total_radius)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load readers do not panic"))
-            .collect::<Vec<_>>()
-    });
-    let mut latencies = Vec::new();
-    let mut total_radius = 0u64;
-    for (reader_latencies, reader_radius) in per_reader {
-        latencies.extend(reader_latencies);
-        total_radius += reader_radius;
-    }
-    let completed = latencies.len() as u64;
-    report(&clock, started, latencies, total_radius, completed)
+    drive_readers(config, 1, |request| {
+        let mut never = |_: usize| false;
+        let options = ProbeOptions::new().with_cancel(&mut never);
+        let (_, radius) = session
+            .run_node_with(request[0], &LargestId, Knowledge::none(), options)
+            .expect("load probes complete");
+        (radius as u64, 1)
+    })
 }
 
 #[cfg(test)]

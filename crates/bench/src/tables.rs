@@ -1,11 +1,11 @@
-//! The result tables of experiments E1–E6.
+//! The result tables of experiments E1–E9.
 //!
 //! Each function builds one table; the `experiments` binary prints them. The
 //! `quick` flag shrinks the instance sizes so the same code can run inside
 //! `cargo test` in seconds; the full sizes are meant for
 //! `cargo run --release`.
 
-use avglocal::analysis::fit::{best_model, GrowthModel};
+use avglocal::analysis::fit::best_model;
 use avglocal::analysis::{a000788, recurrence};
 use avglocal::prelude::*;
 use avglocal::report::fmt_float;
@@ -781,37 +781,26 @@ pub fn figure_f5(quick: bool) -> String {
     avglocal::figure::cdf_chart(&format!("F5: radius CDFs across families at n = {n}"), &series, 14)
 }
 
-/// All tables, in experiment order.
-#[must_use]
-pub fn all_tables(quick: bool) -> Vec<Table> {
-    vec![
-        table_e1(quick),
-        table_e2(quick),
-        table_e3(quick),
-        table_e4(quick),
-        table_e5(quick),
-        table_e6(quick),
-        table_e7(quick),
-        table_e8(quick),
-        table_e9(quick),
-    ]
-}
-
-/// The growth model the E1 average column is expected to follow.
-#[must_use]
-pub fn expected_e1_model() -> GrowthModel {
-    GrowthModel::Logarithmic
-}
+/// Every experiment table builder, in experiment order: `TABLES[k - 1]`
+/// builds the table of experiment E`k`.
+pub const TABLES: [fn(bool) -> Table; 9] =
+    [table_e1, table_e2, table_e3, table_e4, table_e5, table_e6, table_e7, table_e8, table_e9];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avglocal::analysis::fit::GrowthModel;
 
     #[test]
     fn e1_quick_has_expected_shape() {
         let t = table_e1(true);
         assert!(t.row_count() >= 4);
         assert!(t.to_text().contains("E1"));
+        // The paper's claim: the average radius grows as Θ(log n).
+        let csv = t.to_csv();
+        let fit = csv.lines().last().expect("the fit row closes the table");
+        assert!(fit.starts_with("best-fit growth of the measured average,"), "{fit}");
+        assert_eq!(fit.split(',').nth(1), Some(GrowthModel::Logarithmic.name()));
     }
 
     #[test]
@@ -869,11 +858,6 @@ mod tests {
         }
         assert_eq!(via_topology.rows[0].worst_case, worst_sum / 2.0);
         assert_eq!(via_topology.rows[0].average, average_sum / 2.0);
-    }
-
-    #[test]
-    fn e1_expected_model_is_logarithmic() {
-        assert_eq!(expected_e1_model(), GrowthModel::Logarithmic);
     }
 
     #[test]
