@@ -266,7 +266,7 @@ fn last(rows: &[Row], column: usize) -> f64 {
 }
 
 fn identity_cycle(n: usize) -> Graph {
-    cycle_with_assignment(n, &IdAssignment::Identity)
+    topology_with_assignment(&Topology::Cycle, n, &IdAssignment::Identity)
         .expect("cycles of the benchmarked sizes are valid")
 }
 
@@ -363,8 +363,8 @@ fn skewed(quick: bool, threads: usize) -> Recorded {
         let ids = clustered_adversarial_arrangement(n).iter().map(|&id| id as usize).collect();
         let ids =
             IdAssignment::from_vec(ids).expect("clustered adversarial ids form a permutation");
-        let graph =
-            cycle_with_assignment(n, &ids).expect("cycles of the benchmarked sizes are valid");
+        let graph = topology_with_assignment(&Topology::Cycle, n, &ids)
+            .expect("cycles of the benchmarked sizes are valid");
         let session = FrozenExecutor::new(&graph);
         let (sequential, sequential_ms) = measure_ms(|| {
             session.run_sequential(&LargestId, Knowledge::none()).expect("largest-ID terminates")

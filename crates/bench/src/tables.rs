@@ -36,13 +36,14 @@ pub fn table_e1(quick: bool) -> Table {
     let mut averages = Vec::new();
     for &k in &exponents {
         let n = 1usize << k;
-        let random = Sweep::new(Problem::LargestId, vec![n])
+        let random = Sweep::on(Problem::LargestId, Topology::Cycle, vec![n])
             .with_policy(AssignmentPolicy::Random { base_seed: 1 })
             .with_trials(trials)
             .run()
             .expect("largest-ID sweep cannot fail on cycles");
-        let identity = run_on_cycle(Problem::LargestId, n, &IdAssignment::Identity)
-            .expect("largest-ID run cannot fail on cycles");
+        let identity =
+            run_on_topology(Problem::LargestId, &Topology::Cycle, n, &IdAssignment::Identity)
+                .expect("largest-ID run cannot fail on cycles");
         let row = &random.rows[0];
         ns.push(n as f64);
         averages.push(row.average);
@@ -135,9 +136,9 @@ pub fn table_e3(quick: bool) -> Table {
     for &k in &exponents {
         let n = 1usize << k;
         let assignment = IdAssignment::Shuffled { seed: 3 };
-        let cv = run_on_cycle(Problem::ThreeColoring, n, &assignment)
+        let cv = run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment)
             .expect("Cole-Vishkin runs on every cycle");
-        let landmark = run_on_cycle(Problem::LandmarkColoring, n, &assignment)
+        let landmark = run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
             .expect("landmark colouring runs on every cycle");
         table.push_row(vec![
             n.to_string(),
@@ -151,6 +152,18 @@ pub fn table_e3(quick: bool) -> Table {
         ]);
     }
     table
+}
+
+/// The Section 4 random-permutation study on the `n`-cycle: one sweep row
+/// with one uniformly random identifier permutation per sample.
+fn random_study(problem: Problem, n: usize, samples: usize, base_seed: u64) -> SweepRow {
+    Sweep::on(problem, Topology::Cycle, vec![n])
+        .with_policy(AssignmentPolicy::Random { base_seed })
+        .with_trials(samples)
+        .run()
+        .expect("the random-permutation study runs on cycles")
+        .rows
+        .remove(0)
 }
 
 /// E4 — the Theorem 1 lower bound: adversarial identifier assignments cannot
@@ -172,10 +185,9 @@ pub fn table_e4(quick: bool) -> Table {
     );
     for &n in &sizes {
         for problem in [Problem::LandmarkColoring, Problem::ThreeColoring] {
-            let random = random_permutation_study(problem, n, if quick { 3 } else { 8 }, 5)
-                .expect("random study runs on cycles");
+            let random = random_study(problem, n, if quick { 3 } else { 8 }, 5);
             let section3 = section3_assignment(problem, n)
-                .and_then(|a| run_on_cycle(problem, n, &a))
+                .and_then(|a| run_on_topology(problem, &Topology::Cycle, n, &a))
                 .expect("section 3 construction runs on cycles");
             let climbed = AdversarySearch::new(problem, Measure::NodeAveraged)
                 .hill_climb(n, 1, if quick { 20 } else { 80 }, 11)
@@ -183,7 +195,7 @@ pub fn table_e4(quick: bool) -> Table {
             table.push_row(vec![
                 n.to_string(),
                 problem.to_string(),
-                fmt_float(random.average_radius.mean),
+                fmt_float(random.average),
                 fmt_float(section3.average()),
                 fmt_float(climbed.objective),
                 fmt_float(theory::coloring_average_lower_bound(n)),
@@ -213,15 +225,14 @@ pub fn table_e5(quick: bool) -> Table {
     );
     for &k in &exponents {
         let n = 1usize << k;
-        let study = random_permutation_study(Problem::LargestId, n, samples, 23)
-            .expect("largest-ID study runs on cycles");
+        let study = random_study(Problem::LargestId, n, samples, 23);
         table.push_row(vec![
             n.to_string(),
             samples.to_string(),
-            fmt_float(study.average_radius.mean),
-            format!("±{}", fmt_float(study.average_radius.confidence_95())),
+            fmt_float(study.average),
+            format!("±{}", fmt_float(study.average_summary.confidence_95())),
             fmt_float(theory::largest_id_random_average(n)),
-            fmt_float(study.worst_case_radius.mean),
+            fmt_float(study.worst_case),
             fmt_float(theory::largest_id_worst_average(n)),
         ]);
     }
@@ -253,7 +264,8 @@ pub fn table_e6(quick: bool) -> Table {
         Problem::LandmarkColoring,
         Problem::KnowTheLeader,
     ] {
-        let profile = run_on_cycle(problem, n, &assignment).expect("all problems run on cycles");
+        let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment)
+            .expect("all problems run on cycles");
         let outcome = schedule_radii(&profile, workers);
         table.push_row(vec![
             problem.to_string(),
@@ -372,8 +384,13 @@ pub fn figure_f1(quick: bool) -> String {
     for &k in &exponents {
         let n = 1usize << k;
         labels.push(format!("2^{k}"));
-        let profile = run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed: 1 })
-            .expect("largest ID runs on every cycle");
+        let profile = run_on_topology(
+            Problem::LargestId,
+            &Topology::Cycle,
+            n,
+            &IdAssignment::Shuffled { seed: 1 },
+        )
+        .expect("largest ID runs on every cycle");
         measured.push(profile.average());
         theory_avg.push(theory::largest_id_worst_average(n));
         worst.push(theory::largest_id_worst_case(n) as f64);
@@ -401,12 +418,12 @@ pub fn figure_f2(quick: bool) -> String {
         labels.push(format!("2^{k}"));
         let assignment = IdAssignment::Shuffled { seed: 3 };
         cv.push(
-            run_on_cycle(Problem::ThreeColoring, n, &assignment)
+            run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &assignment)
                 .expect("Cole-Vishkin runs on every cycle")
                 .average(),
         );
         landmark.push(
-            run_on_cycle(Problem::LandmarkColoring, n, &assignment)
+            run_on_topology(Problem::LandmarkColoring, &Topology::Cycle, n, &assignment)
                 .expect("landmark colouring runs on every cycle")
                 .average(),
         );
@@ -493,7 +510,7 @@ pub fn table_e8(quick: bool) -> Table {
     // Section 1: the adversarial identity cycle.
     for &k in &e8_exponents(quick) {
         let n = 1usize << k;
-        let result = Sweep::new(Problem::LargestId, vec![n])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![n])
             .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
             .run()
             .expect("largest-ID sweep cannot fail on cycles");
@@ -537,7 +554,7 @@ pub fn figure_f4(quick: bool) -> String {
     for &k in &e8_exponents(quick) {
         let n = 1usize << k;
         labels.push(format!("2^{k}"));
-        let result = Sweep::new(Problem::LargestId, vec![n])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![n])
             .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
             .run()
             .expect("largest-ID sweep cannot fail on cycles");
@@ -838,8 +855,8 @@ mod tests {
     #[test]
     fn e7_cycle_rows_match_the_independent_cycle_run() {
         // The cross-topology sweep on Topology::Cycle must agree with an
-        // independently reconstructed per-trial aggregate built from the
-        // cycle-only run_on_cycle entry point. (The full bit-for-bit property
+        // independently reconstructed per-trial aggregate built from single
+        // run_on_topology calls. (The full bit-for-bit property
         // test lives in tests/tests/topology_sweeps.rs.)
         let n = 16;
         let policy = AssignmentPolicy::Random { base_seed: 11 };
@@ -851,8 +868,13 @@ mod tests {
         let mut worst_sum = 0.0;
         let mut average_sum = 0.0;
         for trial in 0..2 {
-            let profile =
-                run_on_cycle(Problem::LargestId, n, &policy.assignment_for_trial(trial)).unwrap();
+            let profile = run_on_topology(
+                Problem::LargestId,
+                &Topology::Cycle,
+                n,
+                &policy.assignment_for_trial(trial),
+            )
+            .unwrap();
             worst_sum += profile.max() as f64;
             average_sum += profile.average();
         }
@@ -874,7 +896,7 @@ mod tests {
         let mut last_separation = 0.0;
         for &k in &[4u32, 6, 8] {
             let n = 1usize << k;
-            let result = Sweep::new(Problem::LargestId, vec![n])
+            let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![n])
                 .with_policy(AssignmentPolicy::Fixed(IdAssignment::Identity))
                 .run()
                 .unwrap();
@@ -991,6 +1013,19 @@ mod tests {
         for needle in ["pa tree, hub adversary", "powerlaw, hub adversary", "cycle", "random ids"] {
             assert!(text.contains(needle), "missing {needle}");
         }
+    }
+
+    #[test]
+    fn quick_tables_match_the_golden_csv() {
+        // `experiments --quick --csv` rendered from the registry: every
+        // number of every table, pinned byte for byte. The output is the
+        // same at every thread count, so one golden file serves them all.
+        let mut csv = String::from("avglocal experiment harness (quick sizes)\n\n");
+        for build in TABLES {
+            let table = build(true);
+            csv.push_str(&format!("# {}\n{}\n", table.title(), table.to_csv()));
+        }
+        assert_eq!(csv, include_str!("../golden/experiments_quick.csv"));
     }
 
     #[test]

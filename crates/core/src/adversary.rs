@@ -12,7 +12,7 @@
 //!   the proof of Theorem 1.
 
 use avglocal_analysis::logstar::linial_threshold;
-use avglocal_graph::{traversal, Graph, IdAssignment, Permutation};
+use avglocal_graph::{traversal, Graph, IdAssignment, Permutation, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -53,7 +53,7 @@ impl AdversarySearch {
     fn evaluate(&self, n: usize, assignment: &IdAssignment) -> Result<(f64, RadiusProfile)> {
         // Build the cycle explicitly so the objective can be *any* measure,
         // including the edge-averaged ones that need the graph structure.
-        let graph = crate::experiment::cycle_with_assignment(n, assignment)?;
+        let graph = crate::experiment::topology_with_assignment(&Topology::Cycle, n, assignment)?;
         let profile = self.problem.run(&graph)?;
         Ok((self.measure.evaluate_on(&profile, &graph), profile))
     }
@@ -317,8 +317,9 @@ mod tests {
         let n = 16;
         let result = search.hill_climb(n, 2, 30, 11).unwrap();
         // Any random assignment is a lower bound for the hill-climbed value.
-        let random = crate::experiment::run_on_cycle(
+        let random = crate::experiment::run_on_topology(
             Problem::LargestId,
+            &Topology::Cycle,
             n,
             &IdAssignment::Shuffled { seed: 0 },
         )
@@ -408,13 +409,15 @@ mod tests {
     #[test]
     fn section3_assignment_is_a_valid_permutation() {
         let assignment = section3_assignment(Problem::LandmarkColoring, 32).unwrap();
-        let graph = crate::experiment::cycle_with_assignment(32, &assignment).unwrap();
+        let graph =
+            crate::experiment::topology_with_assignment(&Topology::Cycle, 32, &assignment).unwrap();
         assert!(graph.has_unique_identifiers());
         // The profile under the adversarial assignment is at least as bad as
         // under a fixed random one.
         let adv = Problem::LandmarkColoring.run(&graph).unwrap();
-        let rnd = crate::experiment::run_on_cycle(
+        let rnd = crate::experiment::run_on_topology(
             Problem::LandmarkColoring,
+            &Topology::Cycle,
             32,
             &IdAssignment::Shuffled { seed: 1 },
         )

@@ -5,10 +5,10 @@
 //! nodes, not any single one. The service layer's batched query path
 //! ([`RadiusQueryService::query_batch`]) shards a whole generation across
 //! the persistent pool in one admitted request; this module folds that
-//! sharded radius vector through the measurement layer ([`MeasureSet`],
-//! [`RadiusCdf`]) so a complete E-style distributional measurement — CDF,
-//! quantile, or the full measure set — becomes **one service call on one
-//! pinned epoch**.
+//! sharded radius vector through the measurement layer ([`MeasureSet`]) so a
+//! complete E-style distributional measurement — every measure, the exact
+//! CDF ([`MeasureSet::cdf`]) and any quantile ([`MeasureSet::get`]) —
+//! becomes **one service call on one pinned epoch**.
 //!
 //! The fold happens on the reply's own pinned generation: the
 //! [`BatchReply`] keeps its epoch's frozen snapshot alive, so the measures
@@ -23,33 +23,11 @@
 use avglocal_runtime::BallAlgorithm;
 use avglocal_service::{QueryOptions, QueryRequest, RadiusQueryService};
 
-use crate::cdf::RadiusCdf;
 use crate::measure::MeasureSet;
 use crate::profile::RadiusProfile;
 
 #[cfg(doc)]
 use avglocal_service::BatchReply;
-
-/// The radius distribution of a whole generation, from one batched call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CdfReply {
-    /// Epoch of the generation the distribution describes.
-    pub epoch: u64,
-    /// Exact ECDF over every node's decision radius.
-    pub cdf: RadiusCdf,
-}
-
-/// One quantile of a generation's radius distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantileReply {
-    /// Epoch of the generation the quantile describes.
-    pub epoch: u64,
-    /// The requested quantile, in per-mille (500 = median, 990 = p99).
-    pub per_mille: u16,
-    /// The radius at that quantile (nearest-rank, as a float to match
-    /// [`RadiusCdf::quantile`]).
-    pub radius: f64,
-}
 
 /// The full measure set of a generation, from one batched call.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,12 +39,12 @@ pub struct MeasuresReply {
     pub measures: MeasureSet,
 }
 
-/// Aggregate endpoints over a batch-capable [`RadiusQueryService`]: fold a
-/// whole pinned generation's sharded radius vector into the paper's
+/// The aggregate endpoint over a batch-capable [`RadiusQueryService`]: fold
+/// a whole pinned generation's sharded radius vector into the paper's
 /// distributional measures in one admitted service call.
 ///
-/// Each endpoint issues one [`QueryRequest::all`] batch (one admission
-/// slot, one shared deadline budget) and requires every entry to complete:
+/// The endpoint issues one [`QueryRequest::all`] batch (one admission slot,
+/// one shared deadline budget) and requires every entry to complete:
 /// a deadline expiring mid-batch surfaces as the same typed
 /// [`ServiceError::DeadlineExceeded`](avglocal_service::ServiceError::DeadlineExceeded)
 /// a single query would report, via [`BatchReply::radii`].
@@ -94,37 +72,23 @@ pub struct MeasuresReply {
 /// let reply = service.query_measures(QueryOptions::new())?;
 /// assert_eq!(reply.measures.pair().worst_case, 32.0);
 /// assert!(reply.measures.pair().average < 8.0);
+/// // The same reply carries the whole distribution: any quantile.
+/// assert_eq!(reply.measures.cdf.observations(), 64);
+/// assert!(reply.measures.get(Measure::Quantile { per_mille: 990 }).unwrap() <= 32.0);
 /// # Ok(())
 /// # }
 /// ```
 pub trait AggregateQueries {
-    /// The exact radius ECDF of the pinned generation's whole population.
+    /// The full [`MeasureSet`] — worst-case, average, median, weighted, and
+    /// the exact radius CDF every quantile is read from — of the pinned
+    /// generation's whole population, computed against the reply's own
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// Same as [`RadiusQueryService::query_batch`], plus the typed
     /// deadline/probe error of the first incomplete entry when the shared
     /// budget expired mid-batch.
-    fn query_cdf(&self, options: QueryOptions) -> avglocal_service::Result<CdfReply>;
-
-    /// One nearest-rank quantile (in per-mille) of the generation's radius
-    /// distribution.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AggregateQueries::query_cdf`].
-    fn query_quantile(
-        &self,
-        per_mille: u16,
-        options: QueryOptions,
-    ) -> avglocal_service::Result<QuantileReply>;
-
-    /// The full [`MeasureSet`] — worst-case, average, median, weighted —
-    /// of the pinned generation, computed against the reply's own snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AggregateQueries::query_cdf`].
     fn query_measures(&self, options: QueryOptions) -> avglocal_service::Result<MeasuresReply>;
 }
 
@@ -133,21 +97,6 @@ where
     A: BallAlgorithm + Sync,
     A::Output: Send,
 {
-    fn query_cdf(&self, options: QueryOptions) -> avglocal_service::Result<CdfReply> {
-        let reply = self.query_batch(&QueryRequest::all(options))?;
-        let radii = reply.radii()?;
-        Ok(CdfReply { epoch: reply.epoch(), cdf: RadiusCdf::from_radii(&radii) })
-    }
-
-    fn query_quantile(
-        &self,
-        per_mille: u16,
-        options: QueryOptions,
-    ) -> avglocal_service::Result<QuantileReply> {
-        let cdf = self.query_cdf(options)?;
-        Ok(QuantileReply { epoch: cdf.epoch, per_mille, radius: cdf.cdf.quantile(per_mille) })
-    }
-
     fn query_measures(&self, options: QueryOptions) -> avglocal_service::Result<MeasuresReply> {
         let reply = self.query_batch(&QueryRequest::all(options))?;
         let radii = reply.radii()?;
@@ -162,6 +111,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use crate::cdf::RadiusCdf;
+    use crate::measure::Measure;
     use avglocal_graph::{generators, IdAssignment, NodeId};
     use avglocal_runtime::examples::NaiveLargestId;
     use avglocal_runtime::Knowledge;
@@ -188,25 +139,23 @@ mod tests {
         let radii: Vec<usize> = (0..48).map(|v| reference.radius(NodeId::new(v))).collect();
         let profile = RadiusProfile::new(radii.clone());
 
-        let cdf = service.query_cdf(QueryOptions::new()).unwrap();
-        assert_eq!(cdf.epoch, 1);
-        assert_eq!(cdf.cdf, RadiusCdf::from_radii(&radii));
-
-        let median = service.query_quantile(500, QueryOptions::new()).unwrap();
-        assert_eq!(median.radius, RadiusCdf::from_radii(&radii).quantile(500));
-        assert_eq!(median.per_mille, 500);
-
         let measures = service.query_measures(QueryOptions::new()).unwrap();
         assert_eq!(measures.epoch, 1);
         assert_eq!(measures.measures, MeasureSet::of_csr(&profile, pinned.session().csr()));
+        // The reply carries the whole distribution and answers any quantile.
+        assert_eq!(measures.measures.cdf, RadiusCdf::from_radii(&radii));
+        assert_eq!(
+            measures.measures.get(Measure::Quantile { per_mille: 500 }),
+            Some(RadiusCdf::from_radii(&radii).quantile(500))
+        );
     }
 
     #[test]
     fn aggregates_pin_one_epoch_across_swaps() {
         let service = service_on_shuffled_cycle(36, 5);
         service.publish_csr(generators::cycle(36).unwrap().freeze()).unwrap();
-        let cdf = service.query_cdf(QueryOptions::new()).unwrap();
-        assert_eq!(cdf.epoch, 2, "aggregates serve the currently pinned generation");
+        let reply = service.query_measures(QueryOptions::new()).unwrap();
+        assert_eq!(reply.epoch, 2, "aggregates serve the currently pinned generation");
     }
 
     #[test]
@@ -222,7 +171,7 @@ mod tests {
             Arc::new(TestClock::with_autotick(1)),
             ServiceConfig::default(),
         );
-        let err = service.query_cdf(QueryOptions::new().with_deadline(0)).unwrap_err();
+        let err = service.query_measures(QueryOptions::new().with_deadline(0)).unwrap_err();
         assert!(matches!(err, ServiceError::DeadlineExceeded { budget: 0, radius: 0 }), "{err:?}");
     }
 }

@@ -7,11 +7,10 @@
 //! the runs deterministic (seeds are explicit) so the reported tables are
 //! exactly reproducible.
 //!
-//! The paper states its results on the ring, so the cycle-specific entry
-//! points ([`run_on_cycle`], [`cycle_with_assignment`],
-//! [`random_permutation_study`]) remain as thin wrappers over the
-//! topology-parameterised API; they produce bit-for-bit the same values as
-//! before the generalisation.
+//! [`Sweep::run`] is the one trial loop: exact and sampled rows, and the
+//! Section 4 random-permutation study — a one-size sweep under
+//! [`AssignmentPolicy::Random`] — all run through it. The paper's ring is
+//! [`Topology::Cycle`]; single runs go through [`run_on_topology`].
 //!
 //! Within a sweep, the topology instance is built **once per size** and only
 //! the identifier assignment varies across trials — for random graphs this is
@@ -58,7 +57,7 @@ use rayon::prelude::*;
 
 use crate::cdf::RadiusCdf;
 use crate::error::{CoreError, Result};
-use crate::measure::{ComponentMeasures, MeasureSet};
+use crate::measure::{ComponentMeasures, MeasurePair, MeasureSet};
 use crate::problem::Problem;
 use crate::profile::RadiusProfile;
 use crate::sampling::{Estimate, SamplePlan, SampledMeasureSet};
@@ -179,14 +178,11 @@ pub struct SampledRow {
 }
 
 impl SweepRow {
-    /// The separation factor `worst_case / average` of this row.
+    /// The separation factor `worst_case / average` of this row, with the
+    /// zero rules of [`MeasurePair::separation`].
     #[must_use]
     pub fn separation(&self) -> f64 {
-        if self.average == 0.0 {
-            1.0
-        } else {
-            self.worst_case / self.average
-        }
+        MeasurePair { worst_case: self.worst_case, average: self.average }.separation()
     }
 }
 
@@ -207,39 +203,6 @@ impl SweepResult {
     pub fn sizes(&self) -> Vec<usize> {
         self.rows.iter().map(|r| r.n).collect()
     }
-
-    /// The average-radius column as `f64`s (for model fitting).
-    #[must_use]
-    pub fn average_column(&self) -> Vec<f64> {
-        self.rows.iter().map(|r| r.average).collect()
-    }
-
-    /// The worst-case-radius column as `f64`s (for model fitting).
-    #[must_use]
-    pub fn worst_case_column(&self) -> Vec<f64> {
-        self.rows.iter().map(|r| r.worst_case).collect()
-    }
-
-    /// The edge-averaged-radius column (max-endpoint weighting) as `f64`s.
-    #[must_use]
-    pub fn edge_averaged_column(&self) -> Vec<f64> {
-        self.rows.iter().map(|r| r.edge_averaged).collect()
-    }
-
-    /// The median-radius column as `f64`s.
-    #[must_use]
-    pub fn median_column(&self) -> Vec<f64> {
-        self.rows.iter().map(|r| r.median).collect()
-    }
-
-    /// An arbitrary quantile column, read off each row's pooled radius
-    /// distribution (`per_mille` in thousandths, `500` = median). Unlike
-    /// [`SweepResult::median_column`] — the mean of per-trial medians — this
-    /// is the quantile of the **pooled** observations of the row.
-    #[must_use]
-    pub fn quantile_column(&self, per_mille: u16) -> Vec<f64> {
-        self.rows.iter().map(|r| r.cdf.quantile(per_mille)).collect()
-    }
 }
 
 /// Configuration of a sweep experiment.
@@ -256,14 +219,6 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Creates a sweep of `problem` over the given ring sizes (the paper's
-    /// setting; use [`Sweep::on`] or [`Sweep::with_topology`] for other
-    /// families).
-    #[must_use]
-    pub fn new(problem: Problem, sizes: Vec<usize>) -> Self {
-        Sweep::on(problem, Topology::Cycle, sizes)
-    }
-
     /// Creates a sweep of `problem` over the given sizes of `topology`.
     #[must_use]
     pub fn on(problem: Problem, topology: Topology, sizes: Vec<usize>) -> Self {
@@ -277,13 +232,6 @@ impl Sweep {
             sample: None,
             sample_seed: 0,
         }
-    }
-
-    /// Sets the topology family (default: the cycle).
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// Sets the identifier-assignment policy (default: random with seed 0).
@@ -365,7 +313,7 @@ impl Sweep {
             });
         }
         check_problem_supports_topology(self.problem, &self.topology)?;
-        if let Some(plan) = self.sample {
+        if self.sample.is_some() {
             if !self.problem.uses_ball_view() {
                 return Err(CoreError::InvalidConfiguration {
                     reason: format!(
@@ -381,138 +329,132 @@ impl Sweep {
                         .to_string(),
                 });
             }
-            let mut rows = Vec::with_capacity(self.sizes.len());
-            for &n in &self.sizes {
-                rows.push(self.sampled_row(n, plan)?);
-            }
-            return Ok(SweepResult {
-                problem: self.problem,
-                topology: self.topology.clone(),
-                rows,
-            });
         }
-        let mut rows = Vec::with_capacity(self.sizes.len());
-        for &n in &self.sizes {
-            // One instance per size: trials vary the identifiers, never the
-            // graph (essential for random families, cheaper for all). For
-            // ball-view problems the adjacency is also frozen once; each
-            // trial clones the flat snapshot and swaps the identifier table
-            // instead of re-freezing. In per-component mode the instance is
-            // the first draw (no connectivity redraws) and the component
-            // labelling — discovered at freeze time, or by a BFS sweep for
-            // round-based problems — scopes verification to the components.
-            let base = self.topology.build_for(n, self.mode)?;
-            let frozen_base = self.problem.uses_ball_view().then(|| base.freeze());
-            let label_storage = (self.mode == ComponentMode::PerComponent && frozen_base.is_none())
-                .then(|| ComponentLabels::of_graph(&base));
-            let labels: Option<&ComponentLabels> = match self.mode {
-                ComponentMode::RequireConnected => None,
-                ComponentMode::PerComponent => Some(match &frozen_base {
-                    Some(csr) => csr.components(),
-                    None => label_storage.as_ref().expect("computed above"),
-                }),
-            };
-            // Trials are independent and their seeds explicit, so they run on
-            // the work-stealing pool: the pool claims trials dynamically (a
-            // slow trial stalls only itself) and each participant keeps one
-            // session alive across every trial it steals — the snapshot is
-            // cloned once per participant, then each trial only swaps the
-            // identifier table. Results are collected in trial order, keeping
-            // every aggregate bit-for-bit identical to a sequential sweep.
-            let per_trial: Vec<Result<MeasureSet>> = (0..self.trials)
-                .into_par_iter()
-                .map_init(
-                    || None,
-                    |session, trial| {
-                        let assignment = self.policy.assignment_for_trial(trial);
-                        let mut graph = base.clone();
-                        assignment.apply(&mut graph)?;
-                        let profile =
-                            run_trial(self.problem, &graph, frozen_base.as_ref(), session, labels)?;
-                        // One pass over the radius vector and the (shared)
-                        // edge structure produces every measure of the trial.
-                        Ok(match &frozen_base {
-                            Some(csr) => MeasureSet::of_csr(&profile, csr),
-                            None => MeasureSet::of(&profile, &base),
-                        })
-                    },
-                )
-                .collect();
-            let mut sets = Vec::with_capacity(self.trials);
-            for result in per_trial {
-                sets.push(result?);
-            }
-            let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
-            let average_summary = Summary::from_values(&averages);
-            // Scalar measures average over the trials; the distribution
-            // merges exactly (in trial order, for determinism by
-            // construction rather than by commutativity).
-            let mut cdf = RadiusCdf::empty();
-            for set in &sets {
-                cdf.merge(&set.cdf);
-            }
-            rows.push(SweepRow {
-                topology: self.topology.clone(),
-                n,
-                trials: self.trials,
-                components: labels.map_or(1, ComponentLabels::count),
-                worst_case: mean_of(&sets, |s| s.worst_case),
-                average: average_summary.mean,
-                average_summary,
-                total: mean_of(&sets, |s| s.total),
-                edge_averaged: mean_of(&sets, |s| s.edge_averaged),
-                edge_averaged_mean: mean_of(&sets, |s| s.edge_averaged_mean),
-                median: mean_of(&sets, |s| s.median),
-                cdf,
-                sampled: None,
-            });
-        }
+        let rows = self
+            .sizes
+            .iter()
+            .map(|&n| {
+                // One instance per size: trials vary the identifiers, never
+                // the graph (essential for random families, cheaper for
+                // all). In per-component mode the instance is the first draw
+                // (no connectivity redraws).
+                let base = self.topology.build_for(n, self.mode)?;
+                let frozen = Frozen::of(self.problem, &base, self.mode);
+                match self.sample {
+                    Some(plan) => self.sampled_row(n, &base, &frozen, plan),
+                    None => self.exact_row(n, &base, &frozen),
+                }
+            })
+            .collect::<Result<_>>()?;
         Ok(SweepResult { problem: self.problem, topology: self.topology.clone(), rows })
+    }
+
+    /// The one trial loop of a sweep: runs `trial` once per trial number on
+    /// instance `base` with that trial's identifiers, and returns the
+    /// results in trial order (or the first error in trial order).
+    ///
+    /// Trials are independent and their seeds explicit, so they run on the
+    /// work-stealing pool: the pool claims trials dynamically (a slow trial
+    /// stalls only itself). For a frozen instance each participant keeps one
+    /// [`FrozenExecutor`] session alive across every trial it steals —
+    /// cloning the [`CsrGraph`] shares the frozen adjacency and copies only
+    /// the `O(n)` identifier table — and each trial swaps the identifier
+    /// table in place, so per-trial setup neither re-freezes nor re-clones
+    /// and the session's grower scratch stays warm. Collecting in trial
+    /// order keeps every aggregate bit-for-bit identical to a sequential
+    /// sweep.
+    fn run_trials<T: Send>(
+        &self,
+        base: &Graph,
+        csr: Option<&CsrGraph>,
+        trial: impl Fn(&Graph, Option<&FrozenExecutor>, usize) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let per_trial: Vec<Result<T>> = (0..self.trials)
+            .into_par_iter()
+            .map_init(
+                || None,
+                |session: &mut Option<FrozenExecutor>, t| {
+                    let mut graph = base.clone();
+                    self.policy.assignment_for_trial(t).apply(&mut graph)?;
+                    let session = csr.map(|csr| {
+                        let session =
+                            session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
+                        let identifiers: Vec<_> = graph.identifiers().collect();
+                        session.set_identifiers(&identifiers);
+                        &*session
+                    });
+                    trial(&graph, session, t)
+                },
+            )
+            .collect();
+        per_trial.into_iter().collect()
+    }
+
+    /// One size of an exact sweep: every trial runs the problem on every
+    /// node, verifies the outputs, and folds one [`MeasureSet`].
+    fn exact_row(&self, n: usize, base: &Graph, frozen: &Frozen) -> Result<SweepRow> {
+        let labels = frozen.labels();
+        let sets = self.run_trials(base, frozen.csr.as_ref(), |graph, session, _| {
+            let profile = self.problem.run_with(graph, session, labels)?;
+            // One pass over the radius vector and the (shared) edge
+            // structure produces every measure of the trial.
+            Ok(match &frozen.csr {
+                Some(csr) => MeasureSet::of_csr(&profile, csr),
+                None => MeasureSet::of(&profile, base),
+            })
+        })?;
+        let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
+        let average_summary = Summary::from_values(&averages);
+        // Scalar measures average over the trials; the distribution merges
+        // exactly (in trial order, for determinism by construction rather
+        // than by commutativity).
+        let mut cdf = RadiusCdf::empty();
+        for set in &sets {
+            cdf.merge(&set.cdf);
+        }
+        Ok(SweepRow {
+            topology: self.topology.clone(),
+            n,
+            trials: self.trials,
+            components: labels.map_or(1, ComponentLabels::count),
+            worst_case: mean_of(&sets, |s| s.worst_case),
+            average: average_summary.mean,
+            average_summary,
+            total: mean_of(&sets, |s| s.total),
+            edge_averaged: mean_of(&sets, |s| s.edge_averaged),
+            edge_averaged_mean: mean_of(&sets, |s| s.edge_averaged_mean),
+            median: mean_of(&sets, |s| s.median),
+            cdf,
+            sampled: None,
+        })
     }
 
     /// One size of a sampled sweep: per trial, draw the plan's sample from
     /// the frozen instance, probe exactly that subset through the
     /// index-addressed batch path, and fold the radii into estimates.
-    ///
-    /// The trial loop mirrors the exact path — one instance per size, one
-    /// frozen snapshot shared across trials, one persistent-pool session per
-    /// participant, results collected in trial order — so sampled sweeps
-    /// inherit the exact path's bit-reproducibility.
-    fn sampled_row(&self, n: usize, plan: SamplePlan) -> Result<SweepRow> {
-        let base = self.topology.build_for(n, self.mode)?;
-        let frozen_base = base.freeze();
-        let per_trial: Vec<Result<(SampledMeasureSet, RadiusCdf, f64)>> = (0..self.trials)
-            .into_par_iter()
-            .map_init(
-                || None,
-                |session: &mut Option<FrozenExecutor>, trial| {
-                    let assignment = self.policy.assignment_for_trial(trial);
-                    let mut graph = base.clone();
-                    assignment.apply(&mut graph)?;
-                    let session = session
-                        .get_or_insert_with(|| FrozenExecutor::from_csr(frozen_base.clone()));
-                    let identifiers: Vec<_> = graph.identifiers().collect();
-                    session.set_identifiers(&identifiers);
-                    let sample = plan.draw(&frozen_base, plan.seed_for(self.sample_seed, trial));
-                    let radii = self.problem.probe_radii(
-                        session,
-                        sample.nodes(),
-                        &NodeBatchOptions::new(),
-                    )?;
-                    // The raw sampled observations: pooled into the row cdf,
-                    // and their maximum is a certified lower bound on the
-                    // trial's worst case.
-                    let worst = radii.iter().copied().max().unwrap_or(0) as f64;
-                    let cdf = RadiusCdf::from_radii(&radii);
-                    Ok((sample.estimate(&radii), cdf, worst))
-                },
-            )
-            .collect();
+    fn sampled_row(
+        &self,
+        n: usize,
+        base: &Graph,
+        frozen: &Frozen,
+        plan: SamplePlan,
+    ) -> Result<SweepRow> {
+        let csr = frozen.csr.as_ref().expect("sampled sweeps run ball-view problems");
+        let per_trial = self.run_trials(base, Some(csr), |_, session, t| {
+            let session = session.expect("a frozen instance gives every trial a session");
+            let sample = plan.draw(csr, plan.seed_for(self.sample_seed, t));
+            let radii =
+                self.problem.probe_radii(session, sample.nodes(), &NodeBatchOptions::new())?;
+            // The raw sampled observations: pooled into the row cdf, and
+            // their maximum is a certified lower bound on the trial's worst
+            // case.
+            let worst = radii.iter().copied().max().unwrap_or(0) as f64;
+            Ok((sample.estimate(&radii), RadiusCdf::from_radii(&radii), worst))
+        })?;
         let mut estimates = Vec::with_capacity(self.trials);
         let mut cdf = RadiusCdf::empty();
         let mut worst_sum = 0.0;
-        for result in per_trial {
-            let (estimate, trial_cdf, worst) = result?;
+        for (estimate, trial_cdf, worst) in per_trial {
             cdf.merge(&trial_cdf);
             worst_sum += worst;
             estimates.push(estimate);
@@ -598,23 +540,10 @@ pub fn run_on_topology_per_component(
     check_problem_supports_topology(problem, topology)?;
     let mut graph = topology.build_for(n, ComponentMode::PerComponent)?;
     assignment.apply(&mut graph)?;
-    // Ball-view problems freeze the graph anyway, and freezing discovers the
-    // component labelling — freeze once here and reuse both, instead of
-    // labelling separately and re-freezing inside the run. Round-based
-    // problems never freeze, so they label with the BFS sweep.
-    let frozen = problem.uses_ball_view().then(|| graph.freeze());
-    let label_storage = frozen.is_none().then(|| ComponentLabels::of_graph(&graph));
-    let labels: &ComponentLabels = match &frozen {
-        Some(csr) => csr.components(),
-        None => label_storage.as_ref().expect("computed above"),
-    };
-    let profile = match &frozen {
-        Some(csr) => {
-            let session = FrozenExecutor::from_csr(csr.clone());
-            problem.run_with(&graph, Some(&session), Some(labels))?
-        }
-        None => problem.run_with(&graph, None, Some(labels))?,
-    };
+    let frozen = Frozen::of(problem, &graph, ComponentMode::PerComponent);
+    let labels = frozen.labels().expect("per-component mode labels the instance");
+    let session = frozen.csr.clone().map(FrozenExecutor::from_csr);
+    let profile = problem.run_with(&graph, session.as_ref(), Some(labels))?;
     let measures = ComponentMeasures::of(&profile, &graph, labels);
     Ok((profile, measures))
 }
@@ -629,20 +558,6 @@ fn check_problem_supports_topology(problem: Problem, topology: &Topology) -> Res
         });
     }
     Ok(())
-}
-
-/// Runs `problem` on an `n`-cycle with the given identifier assignment and
-/// returns the radius profile.
-///
-/// # Errors
-///
-/// Propagates graph-construction and execution errors.
-pub fn run_on_cycle(
-    problem: Problem,
-    n: usize,
-    assignment: &IdAssignment,
-) -> Result<RadiusProfile> {
-    run_on_topology(problem, &Topology::Cycle, n, assignment)
 }
 
 /// Builds a size-`n` instance of `topology` and applies `assignment` to it.
@@ -660,141 +575,32 @@ pub fn topology_with_assignment(
     Ok(graph)
 }
 
-/// Builds an `n`-cycle and applies `assignment` to it.
-///
-/// # Errors
-///
-/// Propagates graph-construction errors (for example `n < 3`).
-pub fn cycle_with_assignment(n: usize, assignment: &IdAssignment) -> Result<Graph> {
-    topology_with_assignment(&Topology::Cycle, n, assignment)
+/// An instance frozen and labelled once: ball-view problems freeze it (the
+/// snapshot every trial's session clones, instead of re-freezing per run),
+/// and in per-component mode it carries its component labelling —
+/// discovered at freeze time, or by a BFS sweep for round-based problems,
+/// which never freeze. The labelling scopes verification to the components.
+struct Frozen {
+    csr: Option<CsrGraph>,
+    bfs_labels: Option<ComponentLabels>,
+    per_component: bool,
 }
 
-/// The Section 4 "further work" study: the distribution of both measures when
-/// the identifier permutation is uniformly random.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RandomPermutationStudy {
-    /// The topology the permutations were sampled on.
-    pub topology: Topology,
-    /// Instance size.
-    pub n: usize,
-    /// Number of sampled permutations.
-    pub samples: usize,
-    /// Summary of the per-sample node-averaged radii.
-    pub average_radius: Summary,
-    /// Summary of the per-sample worst-case radii.
-    pub worst_case_radius: Summary,
-    /// Summary of the per-sample edge-averaged radii (max-endpoint
-    /// weighting).
-    pub edge_averaged_radius: Summary,
-    /// Summary of the per-sample median radii.
-    pub median_radius: Summary,
-    /// The pooled radius distribution over all samples
-    /// (`samples x n` observations).
-    pub cdf: RadiusCdf,
-}
-
-/// Samples `samples` uniformly random identifier permutations of a size-`n`
-/// instance of `topology`, runs `problem` on each, and summarises both
-/// measures. All samples share the same instance; only the identifiers vary.
-///
-/// # Errors
-///
-/// Propagates construction and execution errors; returns
-/// [`CoreError::InvalidConfiguration`] when `samples == 0`.
-pub fn random_permutation_study_on(
-    problem: Problem,
-    topology: &Topology,
-    n: usize,
-    samples: usize,
-    base_seed: u64,
-) -> Result<RandomPermutationStudy> {
-    if samples == 0 {
-        return Err(CoreError::InvalidConfiguration {
-            reason: "the random-permutation study needs at least one sample".to_string(),
-        });
+impl Frozen {
+    fn of(problem: Problem, graph: &Graph, mode: ComponentMode) -> Self {
+        let csr = problem.uses_ball_view().then(|| graph.freeze());
+        let per_component = mode == ComponentMode::PerComponent;
+        let bfs_labels = (per_component && csr.is_none()).then(|| ComponentLabels::of_graph(graph));
+        Frozen { csr, bfs_labels, per_component }
     }
-    check_problem_supports_topology(problem, topology)?;
-    let base = topology.build(n)?;
-    let frozen_base = problem.uses_ball_view().then(|| base.freeze());
-    // Same machinery as `Sweep::run`: samples are claimed dynamically from
-    // the pool, each participant reuses one session across its samples, and
-    // one pass per sample feeds every measure.
-    let per_sample: Vec<Result<MeasureSet>> = (0..samples)
-        .into_par_iter()
-        .map_init(
-            || None,
-            |session, i| {
-                let assignment = IdAssignment::Shuffled { seed: derive_seed(base_seed, i as u64) };
-                let mut graph = base.clone();
-                assignment.apply(&mut graph)?;
-                let profile = run_trial(problem, &graph, frozen_base.as_ref(), session, None)?;
-                Ok(match &frozen_base {
-                    Some(csr) => MeasureSet::of_csr(&profile, csr),
-                    None => MeasureSet::of(&profile, &base),
-                })
-            },
-        )
-        .collect();
-    let mut sets = Vec::with_capacity(samples);
-    for result in per_sample {
-        sets.push(result?);
-    }
-    let collect = |f: fn(&MeasureSet) -> f64| -> Vec<f64> { sets.iter().map(f).collect() };
-    let mut cdf = RadiusCdf::empty();
-    for set in &sets {
-        cdf.merge(&set.cdf);
-    }
-    Ok(RandomPermutationStudy {
-        topology: topology.clone(),
-        n,
-        samples,
-        average_radius: Summary::from_values(&collect(|s| s.node_averaged)),
-        worst_case_radius: Summary::from_values(&collect(|s| s.worst_case)),
-        edge_averaged_radius: Summary::from_values(&collect(|s| s.edge_averaged)),
-        median_radius: Summary::from_values(&collect(|s| s.median)),
-        cdf,
-    })
-}
 
-/// Samples `samples` uniformly random identifier permutations of an
-/// `n`-cycle, runs `problem` on each, and summarises both measures.
-///
-/// # Errors
-///
-/// Propagates execution errors; returns [`CoreError::InvalidConfiguration`]
-/// when `samples == 0`.
-pub fn random_permutation_study(
-    problem: Problem,
-    n: usize,
-    samples: usize,
-    base_seed: u64,
-) -> Result<RandomPermutationStudy> {
-    random_permutation_study_on(problem, &Topology::Cycle, n, samples, base_seed)
-}
-
-/// Runs one trial of `problem` on `graph`, routing ball-view problems
-/// through a [`FrozenExecutor`] session kept in `session` across the trials
-/// a pool participant claims. The session is created at most once per
-/// participant (cloning the [`CsrGraph`] shares the frozen adjacency and
-/// copies only the `O(n)` identifier table); each trial then swaps the
-/// identifier table in place, so per-trial setup neither re-freezes the
-/// `O(n + m)` structure nor re-clones the snapshot, and the session's
-/// grower scratch stays warm from trial to trial.
-fn run_trial(
-    problem: Problem,
-    graph: &Graph,
-    frozen_base: Option<&CsrGraph>,
-    session: &mut Option<FrozenExecutor>,
-    components: Option<&ComponentLabels>,
-) -> Result<RadiusProfile> {
-    match frozen_base {
-        Some(csr) => {
-            let session = session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
-            let identifiers: Vec<_> = graph.identifiers().collect();
-            session.set_identifiers(&identifiers);
-            problem.run_with(graph, Some(session), components)
+    /// The component labelling in per-component mode, `None` otherwise.
+    fn labels(&self) -> Option<&ComponentLabels> {
+        if self.per_component {
+            self.csr.as_ref().map(CsrGraph::components).or(self.bfs_labels.as_ref())
+        } else {
+            None
         }
-        None => problem.run_with(graph, None, components),
     }
 }
 
@@ -813,7 +619,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_row_per_size() {
-        let result = Sweep::new(Problem::LargestId, vec![8, 16, 32])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![8, 16, 32])
             .with_policy(AssignmentPolicy::Random { base_seed: 1 })
             .with_trials(3)
             .run()
@@ -835,12 +641,12 @@ mod tests {
     fn sampled_sweep_with_full_budget_matches_the_exact_sweep() {
         // A census budget degenerates the estimator to the exact
         // measurement: every shared column must be bit-identical.
-        let exact = Sweep::new(Problem::LargestId, vec![32])
+        let exact = Sweep::on(Problem::LargestId, Topology::Cycle, vec![32])
             .with_policy(AssignmentPolicy::Random { base_seed: 9 })
             .with_trials(3)
             .run()
             .unwrap();
-        let sampled = Sweep::new(Problem::LargestId, vec![32])
+        let sampled = Sweep::on(Problem::LargestId, Topology::Cycle, vec![32])
             .with_policy(AssignmentPolicy::Random { base_seed: 9 })
             .with_trials(3)
             .with_sample_plan(SamplePlan::Uniform { budget: 32 })
@@ -861,7 +667,7 @@ mod tests {
     #[test]
     fn sampled_sweep_is_bit_reproducible_and_budget_bounded() {
         let build = || {
-            Sweep::new(Problem::LargestId, vec![64])
+            Sweep::on(Problem::LargestId, Topology::Cycle, vec![64])
                 .with_policy(AssignmentPolicy::Random { base_seed: 3 })
                 .with_trials(4)
                 .with_sample_plan(SamplePlan::Uniform { budget: 12 })
@@ -884,13 +690,13 @@ mod tests {
     #[test]
     fn sampled_sweep_rejects_unsupported_configurations() {
         // Round-based problems have no per-node probe.
-        let err = Sweep::new(Problem::ThreeColoring, vec![16])
+        let err = Sweep::on(Problem::ThreeColoring, Topology::Cycle, vec![16])
             .with_sample_plan(SamplePlan::Uniform { budget: 8 })
             .run()
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfiguration { .. }), "{err:?}");
         // Per-component mode estimates nothing meaningful from a sample.
-        let err = Sweep::new(Problem::LargestId, vec![16])
+        let err = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
             .with_component_mode(ComponentMode::PerComponent)
             .with_sample_plan(SamplePlan::Uniform { budget: 8 })
             .run()
@@ -900,8 +706,11 @@ mod tests {
 
     #[test]
     fn sweep_validates_configuration() {
-        assert!(Sweep::new(Problem::LargestId, vec![]).run().is_err());
-        assert!(Sweep::new(Problem::LargestId, vec![8]).with_trials(0).run().is_err());
+        assert!(Sweep::on(Problem::LargestId, Topology::Cycle, vec![]).run().is_err());
+        assert!(Sweep::on(Problem::LargestId, Topology::Cycle, vec![8])
+            .with_trials(0)
+            .run()
+            .is_err());
     }
 
     #[test]
@@ -913,14 +722,10 @@ mod tests {
         let err = run_on_topology(Problem::Mis, &Topology::Grid, 16, &IdAssignment::Identity)
             .unwrap_err();
         assert!(err.to_string().contains("only runs on cycles"));
-        let err = random_permutation_study_on(
-            Problem::LandmarkColoring,
-            &Topology::CompleteBinaryTree,
-            16,
-            2,
-            0,
-        )
-        .unwrap_err();
+        let err = Sweep::on(Problem::LandmarkColoring, Topology::CompleteBinaryTree, vec![16])
+            .with_trials(2)
+            .run()
+            .unwrap_err();
         assert!(err.to_string().contains("only runs on cycles"));
         // The cycle variant of the same configuration is fine.
         assert!(Sweep::on(Problem::ThreeColoring, Topology::Cycle, vec![16]).run().is_ok());
@@ -1002,7 +807,7 @@ mod tests {
 
     #[test]
     fn sweep_rows_carry_every_measure() {
-        let result = Sweep::new(Problem::LargestId, vec![16])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
             .with_policy(AssignmentPolicy::Identity)
             .run()
             .unwrap();
@@ -1016,15 +821,13 @@ mod tests {
         assert_eq!(row.median, 1.0);
         assert_eq!(row.worst_case, 8.0);
         assert_eq!(row.total, 23.0);
-        assert_eq!(result.edge_averaged_column().len(), 1);
-        assert_eq!(result.median_column(), vec![1.0]);
     }
 
     #[test]
     fn sweep_rows_carry_the_full_distribution() {
         // Identity ids on the 16-cycle, one trial: 15 nodes stop at radius
         // 1, the winner at 8 — the row's distribution is exactly that.
-        let result = Sweep::new(Problem::LargestId, vec![16])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
             .with_policy(AssignmentPolicy::Identity)
             .run()
             .unwrap();
@@ -1038,9 +841,9 @@ mod tests {
         // column, and the pooled mean to the node average.
         assert_eq!(row.cdf.quantile(500), row.median);
         assert_eq!(row.cdf.mean(), row.average);
-        assert_eq!(result.quantile_column(1000), vec![8.0]);
+        assert_eq!(row.cdf.quantile(1000), 8.0);
         // Across trials the distribution pools: trials x n observations.
-        let result = Sweep::new(Problem::LargestId, vec![16])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
             .with_policy(AssignmentPolicy::Random { base_seed: 3 })
             .with_trials(4)
             .run()
@@ -1073,16 +876,28 @@ mod tests {
         assert!(result.rows[0].components >= 1);
     }
 
+    /// The Section 4 random-permutation study: one size, one uniformly
+    /// random identifier permutation per trial.
+    fn random_study(topology: Topology, n: usize, samples: usize, base_seed: u64) -> SweepRow {
+        Sweep::on(Problem::LargestId, topology, vec![n])
+            .with_policy(AssignmentPolicy::Random { base_seed })
+            .with_trials(samples)
+            .run()
+            .unwrap()
+            .rows
+            .remove(0)
+    }
+
     #[test]
     fn study_distribution_pools_all_samples() {
-        let study = random_permutation_study(Problem::LargestId, 32, 5, 11).unwrap();
-        assert_eq!(study.cdf.observations(), 5 * 32);
+        let row = random_study(Topology::Cycle, 32, 5, 11);
+        assert_eq!(row.cdf.observations(), 5 * 32);
         // The pooled mean is the mean of per-sample node averages (equal
         // sample sizes), up to floating-point reassociation.
-        assert!((study.cdf.mean() - study.average_radius.mean).abs() < 1e-9);
+        assert!((row.cdf.mean() - row.average).abs() < 1e-9);
         // Every sample's winner saw half the ring (a diametrically placed
         // runner-up can add a second radius-16 observation).
-        assert!(study.cdf.count_at(16) >= 5);
+        assert!(row.cdf.count_at(16) >= 5);
     }
 
     #[test]
@@ -1117,11 +932,11 @@ mod tests {
 
     #[test]
     fn identity_policy_is_deterministic() {
-        let a = Sweep::new(Problem::LargestId, vec![16])
+        let a = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
             .with_policy(AssignmentPolicy::Identity)
             .run()
             .unwrap();
-        let b = Sweep::new(Problem::LargestId, vec![16])
+        let b = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
             .with_policy(AssignmentPolicy::Identity)
             .run()
             .unwrap();
@@ -1158,47 +973,65 @@ mod tests {
 
     #[test]
     fn random_study_brackets_the_measures() {
-        let study = random_permutation_study(Problem::LargestId, 64, 10, 7).unwrap();
-        assert_eq!(study.samples, 10);
-        assert_eq!(study.topology, Topology::Cycle);
+        let row = random_study(Topology::Cycle, 64, 10, 7);
+        assert_eq!(row.trials, 10);
+        assert_eq!(row.topology, Topology::Cycle);
         // The worst-case radius is always n/2 = 32 for largest ID.
-        assert_eq!(study.worst_case_radius.mean, 32.0);
-        assert!(study.average_radius.mean < 10.0);
-        assert!(study.average_radius.min >= 1.0);
+        assert_eq!(row.worst_case, 32.0);
+        assert!(row.average < 10.0);
+        assert!(row.average_summary.min >= 1.0);
     }
 
     #[test]
     fn random_study_runs_off_ring() {
-        let study = random_permutation_study_on(
-            Problem::LargestId,
-            &Topology::CompleteBinaryTree,
-            31,
-            6,
-            3,
-        )
-        .unwrap();
-        assert_eq!(study.samples, 6);
-        assert_eq!(study.topology, Topology::CompleteBinaryTree);
+        let row = random_study(Topology::CompleteBinaryTree, 31, 6, 3);
+        assert_eq!(row.trials, 6);
+        assert_eq!(row.topology, Topology::CompleteBinaryTree);
         // On a depth-4 complete binary tree the eccentricity is at most 8.
-        assert!(study.worst_case_radius.max <= 8.0);
-        assert!(study.average_radius.mean <= study.worst_case_radius.mean);
+        assert!(row.cdf.max_radius() <= 8);
+        assert!(row.average <= row.worst_case);
     }
 
     #[test]
     fn random_study_rejects_zero_samples() {
-        assert!(random_permutation_study(Problem::LargestId, 16, 0, 0).is_err());
+        let err = Sweep::on(Problem::LargestId, Topology::Cycle, vec![16])
+            .with_policy(AssignmentPolicy::Random { base_seed: 0 })
+            .with_trials(0)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfiguration { .. }), "{err:?}");
     }
 
     #[test]
     fn sweep_columns_align_with_rows() {
-        let result = Sweep::new(Problem::ThreeColoring, vec![8, 32])
+        let result = Sweep::on(Problem::ThreeColoring, Topology::Cycle, vec![8, 32])
             .with_policy(AssignmentPolicy::Random { base_seed: 5 })
             .run()
             .unwrap();
-        assert_eq!(result.average_column().len(), 2);
+        assert_eq!(result.sizes(), vec![8, 32]);
         // Exact deterministic values for base seed 5 under derive_seed-based
         // trial seeds (every node of these Cole-Vishkin runs stops at 7).
-        assert_eq!(result.worst_case_column(), vec![7.0, 7.0]);
-        assert_eq!(result.average_column(), vec![7.0, 7.0]);
+        for row in &result.rows {
+            assert_eq!((row.worst_case, row.average), (7.0, 7.0));
+        }
+    }
+
+    #[test]
+    fn sampled_row_separation_follows_the_measure_pair() {
+        // An edge-endpoint plan estimates no node average: the row carries
+        // the 0.0 placeholder next to a positive sampled worst case, and
+        // the separation follows the measure pair's zero rules (infinite).
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![32])
+            .with_policy(AssignmentPolicy::Random { base_seed: 4 })
+            .with_trials(2)
+            .with_sample_plan(SamplePlan::EdgeEndpoint { budget: 8 })
+            .run()
+            .unwrap();
+        let row = &result.rows[0];
+        assert_eq!(row.average, 0.0);
+        assert!(row.worst_case > 0.0);
+        let pair = MeasurePair { worst_case: row.worst_case, average: row.average };
+        assert_eq!(row.separation(), pair.separation());
+        assert!(row.separation().is_infinite());
     }
 }

@@ -25,7 +25,8 @@
 //!
 //! # fn main() -> Result<(), avglocal::CoreError> {
 //! // The paper's separation, on a 256-node ring with random identifiers.
-//! let profile = run_on_cycle(Problem::LargestId, 256, &IdAssignment::Shuffled { seed: 1 })?;
+//! let ids = IdAssignment::Shuffled { seed: 1 };
+//! let profile = run_on_topology(Problem::LargestId, &Topology::Cycle, 256, &ids)?;
 //! let pair = MeasurePair::of(&profile);
 //! assert_eq!(pair.worst_case, 128.0);          // Θ(n): the winner sees half the ring
 //! assert!(pair.average < 10.0);                // Θ(log n) on average
@@ -43,8 +44,9 @@
 //!   mergeable ECDF with quantile/mean/tail accessors);
 //! * [`experiment`] — size sweeps over any [`graph::Topology`] (cycles,
 //!   paths, trees, grids, tori, `G(n, p)`, preferential attachment,
-//!   power-law configuration), identifier-assignment policies, and the
-//!   random-permutation study of Section 4;
+//!   power-law configuration) and identifier-assignment policies; the
+//!   random-permutation study of Section 4 is a sweep under
+//!   [`AssignmentPolicy::Random`];
 //! * [`adversary`] — exhaustive and hill-climbing searches for worst-case
 //!   identifier assignments, plus the Section 3 slice construction;
 //! * [`theory`] — the paper's predicted curves (`a(n)`, `log*`, Cole–Vishkin
@@ -55,9 +57,9 @@
 //! * [`service`] — the resilient long-lived radius-query service layer
 //!   (epoch-published snapshots, deadlines, load shedding, batched sharded
 //!   queries, crash-safe persistence; re-exported from `avglocal-service`);
-//! * [`aggregate`] — distributional endpoints over the service's batched
-//!   query path ([`AggregateQueries`]): a whole generation's CDF, quantile
-//!   or [`MeasureSet`] as one admitted service call on one pinned epoch.
+//! * [`aggregate`] — the distributional endpoint over the service's batched
+//!   query path ([`AggregateQueries`]): a whole generation's [`MeasureSet`],
+//!   CDF included, as one admitted service call on one pinned epoch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,13 +82,12 @@ pub mod theory;
 pub use adversary::{
     hub_adversarial_assignment, section3_assignment, top_hub, AdversaryResult, AdversarySearch,
 };
-pub use aggregate::{AggregateQueries, CdfReply, MeasuresReply, QuantileReply};
+pub use aggregate::{AggregateQueries, MeasuresReply};
 pub use cdf::RadiusCdf;
 pub use error::{CoreError, Result};
 pub use experiment::{
-    cycle_with_assignment, random_permutation_study, random_permutation_study_on, run_on_cycle,
     run_on_topology, run_on_topology_per_component, topology_with_assignment, AssignmentPolicy,
-    RandomPermutationStudy, SampledRow, Sweep, SweepResult, SweepRow,
+    SampledRow, Sweep, SweepResult, SweepRow,
 };
 pub use measure::{ComponentMeasures, EdgeWeight, Measure, MeasurePair, MeasureSet, MEDIAN};
 pub use problem::Problem;
@@ -110,7 +111,6 @@ pub mod prelude {
     pub use crate::aggregate::AggregateQueries;
     pub use crate::cdf::RadiusCdf;
     pub use crate::experiment::{
-        cycle_with_assignment, random_permutation_study, random_permutation_study_on, run_on_cycle,
         run_on_topology, run_on_topology_per_component, topology_with_assignment, AssignmentPolicy,
         SampledRow, Sweep,
     };
@@ -146,8 +146,8 @@ mod proptests {
             problem_idx in 0usize..Problem::ALL.len()
         ) {
             let problem = Problem::ALL[problem_idx];
-            let profile =
-                run_on_cycle(problem, n, &IdAssignment::Shuffled { seed }).unwrap();
+            let ids = IdAssignment::Shuffled { seed };
+            let profile = run_on_topology(problem, &Topology::Cycle, n, &ids).unwrap();
             let pair = MeasurePair::of(&profile);
             prop_assert!(pair.average <= pair.worst_case + 1e-9);
             prop_assert!(pair.average >= 0.0);
@@ -158,8 +158,8 @@ mod proptests {
         /// the paper's worst-case bound a(n-1) + n/2.
         #[test]
         fn largest_id_total_is_bounded_by_theory(n in 4usize..64, seed in 0u64..300) {
-            let profile =
-                run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed }).unwrap();
+            let ids = IdAssignment::Shuffled { seed };
+            let profile = run_on_topology(Problem::LargestId, &Topology::Cycle, n, &ids).unwrap();
             prop_assert!(profile.total() as u64 <= theory::largest_id_worst_total(n));
         }
 
@@ -167,8 +167,9 @@ mod proptests {
         /// bound for 64-bit identifiers.
         #[test]
         fn coloring_radii_bounded_by_cole_vishkin(n in 4usize..48, seed in 0u64..200) {
+            let ids = IdAssignment::Shuffled { seed };
             let profile =
-                run_on_cycle(Problem::ThreeColoring, n, &IdAssignment::Shuffled { seed }).unwrap();
+                run_on_topology(Problem::ThreeColoring, &Topology::Cycle, n, &ids).unwrap();
             prop_assert!(profile.max() <= theory::cole_vishkin_upper_bound(64));
         }
     }

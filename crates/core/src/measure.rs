@@ -136,34 +136,15 @@ impl Measure {
     }
 
     /// Evaluates the measure on a radius profile together with the graph it
-    /// was measured on; supports every measure.
+    /// was measured on; supports every measure. Reads the measure off
+    /// [`MeasureSet::of`], so both agree bit for bit.
     ///
     /// # Panics
     ///
     /// Panics when `profile` does not cover every node of `graph`.
     #[must_use]
     pub fn evaluate_on(&self, profile: &RadiusProfile, graph: &Graph) -> f64 {
-        assert_eq!(
-            profile.len(),
-            graph.node_count(),
-            "the profile must cover every node of the graph"
-        );
-        match self.evaluate(profile) {
-            Some(value) => value,
-            None => {
-                let Measure::EdgeAveraged { weight } = self else { unreachable!() };
-                let radii = profile.radii();
-                let m = graph.edge_count();
-                if m == 0 {
-                    return 0.0;
-                }
-                let sum: f64 = graph
-                    .edges()
-                    .map(|(u, v)| edge_value(*weight, radii[u.index()], radii[v.index()]))
-                    .sum();
-                sum / m as f64
-            }
-        }
+        MeasureSet::of(profile, graph).get(*self).expect("a measure set answers every measure")
     }
 
     /// Short machine-friendly name (used in CSV headers). Non-median
@@ -200,14 +181,6 @@ impl fmt::Display for Measure {
                 write!(f, "{:.3}-quantile radius", f64::from(*per_mille) / 1000.0)
             }
         }
-    }
-}
-
-/// The weight an edge with endpoint radii `ru`, `rv` contributes.
-fn edge_value(weight: EdgeWeight, ru: usize, rv: usize) -> f64 {
-    match weight {
-        EdgeWeight::Max => ru.max(rv) as f64,
-        EdgeWeight::Mean => (ru + rv) as f64 / 2.0,
     }
 }
 
@@ -378,21 +351,6 @@ impl MeasureSet {
             Measure::Quantile { per_mille } => Some(self.cdf.quantile(per_mille)),
         }
     }
-}
-
-/// Nearest-rank quantile of a scratch slice: the value at index
-/// `round(q · (len - 1))` of the sorted order (0 for the empty slice).
-///
-/// Selects in `O(len)` via `select_nth_unstable` instead of sorting — this
-/// runs once per sweep trial, inside the hot per-trial loop. The slice is
-/// reordered in place.
-pub(crate) fn nearest_rank(values: &mut [usize], per_mille: u16) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let q = usize::from(per_mille.min(1000));
-    let index = (q * (values.len() - 1) + 500) / 1000;
-    *values.select_nth_unstable(index).1 as f64
 }
 
 /// A [`MeasureSet`] per connected component plus the whole-graph aggregate —
@@ -576,12 +534,17 @@ mod tests {
 
     #[test]
     fn nearest_rank_quantiles() {
-        // Deliberately unsorted: selection handles any order.
-        assert_eq!(nearest_rank(&mut [4usize, 1, 3, 2], 0), 1.0);
-        assert_eq!(nearest_rank(&mut [4usize, 1, 3, 2], 500), 3.0); // round(0.5 * 3) = 2
-        assert_eq!(nearest_rank(&mut [4usize, 1, 3, 2], 1000), 4.0);
-        assert_eq!(nearest_rank(&mut [], 500), 0.0);
-        assert_eq!(nearest_rank(&mut [7], 250), 7.0);
+        let quantile = |radii: Vec<usize>, per_mille: u16| {
+            Measure::Quantile { per_mille }.evaluate(&RadiusProfile::new(radii))
+        };
+        // Deliberately unsorted: the quantile handles any order.
+        assert_eq!(quantile(vec![4, 1, 3, 2], 0), Some(1.0));
+        assert_eq!(quantile(vec![4, 1, 3, 2], 500), Some(3.0)); // round(0.5 * 3) = 2
+        assert_eq!(quantile(vec![4, 1, 3, 2], 1000), Some(4.0));
+        assert_eq!(quantile(vec![], 500), Some(0.0));
+        assert_eq!(quantile(vec![7], 250), Some(7.0));
+        // Values above 1000 clamp to the maximum.
+        assert_eq!(quantile(vec![4, 1, 3, 2], 5000), Some(4.0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::fmt;
 
 use avglocal_algorithms::{
-    run_mis, run_three_coloring, verify, FullInfoColoring, FullInfoLargestId, KnowTheLeader,
+    run_three_coloring, verify, FullInfoColoring, FullInfoLargestId, KnowTheLeader,
     LandmarkColoring, LargestId,
 };
 use avglocal_graph::{ComponentLabels, Graph};
@@ -88,8 +88,8 @@ impl Problem {
     /// whose sweep trials can share one frozen adjacency snapshot.
     ///
     /// The match is deliberately exhaustive (no wildcard) and mirrors which
-    /// arms of `run_inner` go through `ball_run`: adding a variant forces
-    /// both places to classify it.
+    /// arms of `Problem::run_with` go through `ball_run`: adding a variant
+    /// forces both places to classify it.
     #[must_use]
     pub fn uses_ball_view(&self) -> bool {
         match self {
@@ -112,85 +112,49 @@ impl Problem {
     /// [`CoreError::InvalidOutput`] when the verifier rejects the output —
     /// the latter should never happen and indicates a bug.
     pub fn run(&self, graph: &Graph) -> Result<RadiusProfile> {
-        self.run_inner(graph, None, None)
+        self.run_with(graph, None, None)
     }
 
-    /// Like [`Problem::run`], but with explicit per-component semantics:
-    /// `graph` may be disconnected, every ball saturates at its component
-    /// boundary, and outputs are verified **per component** (e.g. largest-ID
-    /// elects one winner per component, not one global winner).
+    /// The general entry point the sweep harness uses: ball-view problems
+    /// execute on `session`'s frozen snapshot instead of freezing `graph`
+    /// per call, and `components` switches to per-component semantics.
     ///
-    /// `labels` must be the component labelling of `graph` (usually taken
-    /// from the frozen snapshot's
-    /// [`avglocal_graph::CsrGraph::components`] or computed with
-    /// [`ComponentLabels::of_graph`]). On a connected graph this is
-    /// equivalent to [`Problem::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Problem::run`]; ring-only problems additionally
-    /// fail on any disconnected (hence non-cycle) instance.
+    /// The session must mirror `graph` (same adjacency and identifiers) —
+    /// the sweep harness maintains this by cloning one frozen base per size
+    /// and swapping the identifier table per trial; round-based problems
+    /// ignore it, and results are identical either way. With `components`
+    /// (the labelling of `graph`, usually taken from the frozen snapshot's
+    /// [`avglocal_graph::CsrGraph::components`]), `graph` may be
+    /// disconnected, every ball saturates at its component boundary, and
+    /// outputs are verified **per component** (e.g. largest-ID elects one
+    /// winner per component); on a connected graph this equals
+    /// [`Problem::run`].
     ///
     /// # Panics
     ///
-    /// Panics when `labels` does not cover every node of `graph`.
-    pub fn run_per_component(
-        &self,
-        graph: &Graph,
-        labels: &ComponentLabels,
-    ) -> Result<RadiusProfile> {
-        assert_eq!(
-            labels.node_count(),
-            graph.node_count(),
-            "the component labelling must cover every node of the graph"
-        );
-        self.run_inner(graph, None, Some(labels))
-    }
-
-    /// Like [`Problem::run`], but ball-view problems execute on `session`'s
-    /// frozen snapshot instead of freezing `graph` per call. The session must
-    /// mirror `graph` (same adjacency and identifiers) — the sweep harness
-    /// maintains this by cloning one frozen base per size and swapping the
-    /// identifier table per trial. Round-based problems fall back to the
-    /// graph; results are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Problem::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `session` and `graph` disagree on the node count.
-    pub fn run_with_session(
-        &self,
-        graph: &Graph,
-        session: &FrozenExecutor,
-    ) -> Result<RadiusProfile> {
-        assert_eq!(
-            session.node_count(),
-            graph.node_count(),
-            "the frozen session must mirror the graph it stands in for"
-        );
-        self.run_inner(graph, Some(session), None)
-    }
-
-    /// The general entry point the sweep harness uses: an optional frozen
-    /// session *and* optional per-component semantics.
+    /// Panics when `session` or `components` does not cover every node of
+    /// `graph`.
     pub(crate) fn run_with(
         &self,
         graph: &Graph,
         session: Option<&FrozenExecutor>,
         components: Option<&ComponentLabels>,
     ) -> Result<RadiusProfile> {
-        self.run_inner(graph, session, components)
-    }
+        if let Some(session) = session {
+            assert_eq!(
+                session.node_count(),
+                graph.node_count(),
+                "the frozen session must mirror the graph it stands in for"
+            );
+        }
+        if let Some(labels) = components {
+            assert_eq!(
+                labels.node_count(),
+                graph.node_count(),
+                "the component labelling must cover every node of the graph"
+            );
+        }
 
-    fn run_inner(
-        &self,
-        graph: &Graph,
-        session: Option<&FrozenExecutor>,
-        components: Option<&ComponentLabels>,
-    ) -> Result<RadiusProfile> {
         /// Runs a ball algorithm on the session when one is available,
         /// freezing the graph per call otherwise.
         fn ball_run<A>(
@@ -272,13 +236,12 @@ impl Problem {
                 Ok(RadiusProfile::from_ball_execution(&run))
             }
             Problem::Mis => {
-                let in_set = run_mis(graph)?;
-                self.check(verify::is_maximal_independent_set(graph, &in_set))?;
-                // The MIS radii come from the round-based pipeline; re-run via
-                // the executor to obtain decision rounds.
+                // One run of the round-based pipeline: its outputs are
+                // verified and its decision rounds are the radii.
                 let orientation = avglocal_algorithms::RingOrientation::trace(graph)?;
                 let algo = avglocal_algorithms::MisRing::new(orientation);
                 let run = avglocal_runtime::SyncExecutor::new().run(graph, &algo, knowledge)?;
+                self.check(verify::is_maximal_independent_set(graph, &run.outputs()))?;
                 RadiusProfile::from_execution(&run)
             }
             Problem::Matching => {
@@ -451,7 +414,7 @@ mod tests {
         assert_eq!(labels.count(), 2);
         for problem in [Problem::LargestId, Problem::FullInfoLargestId, Problem::KnowTheLeader] {
             assert!(problem.run(&g).is_err(), "{problem} must reject global verification");
-            let profile = problem.run_per_component(&g, &labels).unwrap();
+            let profile = problem.run_with(&g, None, Some(&labels)).unwrap();
             assert_eq!(profile.len(), 12, "{problem}");
             // No ball ever needs to leave its 6-node component.
             assert!(profile.max() <= 3, "{problem}");
@@ -463,7 +426,10 @@ mod tests {
         let g = ring(20, 11);
         let labels = ComponentLabels::of_graph(&g);
         for problem in [Problem::LargestId, Problem::KnowTheLeader] {
-            assert_eq!(problem.run(&g).unwrap(), problem.run_per_component(&g, &labels).unwrap());
+            assert_eq!(
+                problem.run(&g).unwrap(),
+                problem.run_with(&g, None, Some(&labels)).unwrap()
+            );
         }
     }
 

@@ -104,12 +104,12 @@ impl RadiusProfile {
     }
 
     /// Nearest-rank quantile of the radii, in thousandths (`500` = median,
-    /// `900` = 90th percentile; values above 1000 are clamped). Returns 0.0
-    /// for the empty profile. `O(n)` — selection, not a sort.
+    /// `900` = 90th percentile; values above 1000 are clamped): the value at
+    /// index `round(q · (n - 1))` of the sorted radii, read off
+    /// [`RadiusProfile::cdf`]. Returns 0.0 for the empty profile.
     #[must_use]
     pub fn quantile(&self, per_mille: u16) -> f64 {
-        let mut scratch = self.radii.clone();
-        crate::measure::nearest_rank(&mut scratch, per_mille)
+        self.cdf().quantile(per_mille)
     }
 
     /// The exact radius distribution of the profile (see
@@ -199,6 +199,13 @@ mod tests {
         assert_eq!(p.quantile(500), 3.0);
         assert_eq!(p.quantile(1000), 5.0);
         assert_eq!(RadiusProfile::new(vec![]).quantile(500), 0.0);
+        // Any input order; an even count rounds the rank half up
+        // (round(0.5 * 3) = 2); a single radius is every quantile.
+        let p = RadiusProfile::new(vec![4, 1, 3, 2]);
+        assert_eq!(p.quantile(0), 1.0);
+        assert_eq!(p.quantile(500), 3.0);
+        assert_eq!(p.quantile(1000), 4.0);
+        assert_eq!(RadiusProfile::new(vec![7]).quantile(250), 7.0);
     }
 
     #[test]

@@ -21,9 +21,13 @@ fn main() -> Result<(), avglocal::CoreError> {
     );
 
     for problem in [Problem::LandmarkColoring, Problem::LargestId] {
-        let random = random_permutation_study(problem, n, 10, 1)?;
+        // Section 4's random-permutation study: one sweep row, 10 samples.
+        let random = Sweep::on(problem, Topology::Cycle, vec![n])
+            .with_policy(AssignmentPolicy::Random { base_seed: 1 })
+            .with_trials(10)
+            .run()?;
         let section3 = section3_assignment(problem, n)?;
-        let adversarial = run_on_cycle(problem, n, &section3)?;
+        let adversarial = run_on_topology(problem, &Topology::Cycle, n, &section3)?;
         let climbed = AdversarySearch::new(problem, Measure::NodeAveraged)
             .hill_climb(n, 2, 60, 7)
             .map(|r| r.objective)?;
@@ -33,7 +37,7 @@ fn main() -> Result<(), avglocal::CoreError> {
         };
         table.push_row(vec![
             problem.to_string(),
-            format!("{:.3}", random.average_radius.mean),
+            format!("{:.3}", random.rows[0].average),
             format!("{:.3}", adversarial.average()),
             format!("{:.3}", climbed),
             format!("{:.1}", bound),

@@ -116,7 +116,7 @@ fn round_based_problems_report_edge_measures_too() {
     // Cole–Vishkin goes through the round-based pipeline (no frozen
     // snapshot), so the measure layer folds over the Graph edge list.
     let policy = AssignmentPolicy::Random { base_seed: 7 };
-    let result = Sweep::new(Problem::ThreeColoring, vec![24])
+    let result = Sweep::on(Problem::ThreeColoring, Topology::Cycle, vec![24])
         .with_policy(policy.clone())
         .with_trials(2)
         .run()
@@ -136,9 +136,14 @@ fn study_measures_equal_brute_force() {
     let n = 32;
     let samples = 5;
     let base_seed = 11;
-    let study =
-        random_permutation_study_on(Problem::LargestId, &Topology::Grid, n, samples, base_seed)
-            .unwrap();
+    // The random-permutation study is a one-size sweep, one shuffled
+    // permutation per trial.
+    let result = Sweep::on(Problem::LargestId, Topology::Grid, vec![n])
+        .with_policy(AssignmentPolicy::Random { base_seed })
+        .with_trials(samples)
+        .run()
+        .unwrap();
+    let row = &result.rows[0];
     let mut edge_max = Vec::new();
     let mut medians = Vec::new();
     for i in 0..samples {
@@ -150,8 +155,8 @@ fn study_measures_equal_brute_force() {
         medians.push(brute_force_median(profile.radii()));
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    assert_eq!(study.edge_averaged_radius.mean, mean(&edge_max));
-    assert_eq!(study.median_radius.mean, mean(&medians));
+    assert_eq!(row.edge_averaged, mean(&edge_max));
+    assert_eq!(row.median, mean(&medians));
 }
 
 #[test]
@@ -205,8 +210,9 @@ proptest! {
     #[test]
     fn cycle_edge_average_is_sandwiched(n in 4usize..48, seed in 0u64..200) {
         let assignment = IdAssignment::Shuffled { seed };
-        let graph = cycle_with_assignment(n, &assignment).unwrap();
-        let profile = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
+        let graph = topology_with_assignment(&Topology::Cycle, n, &assignment).unwrap();
+        let profile =
+            run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
         let edge = brute_force_edge_averaged(&graph, profile.radii(), true);
         let node = profile.average();
         prop_assert!(edge >= node - 1e-12);

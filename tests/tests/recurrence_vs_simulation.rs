@@ -27,8 +27,13 @@ fn exhaustive_search_matches_theory_exactly() {
 fn simulated_totals_never_exceed_theory() {
     for n in [8usize, 16, 33, 64, 128] {
         for seed in 0..5u64 {
-            let profile =
-                run_on_cycle(Problem::LargestId, n, &IdAssignment::Shuffled { seed }).unwrap();
+            let profile = run_on_topology(
+                Problem::LargestId,
+                &Topology::Cycle,
+                n,
+                &IdAssignment::Shuffled { seed },
+            )
+            .unwrap();
             assert!(
                 (profile.total() as u64) <= theory::largest_id_worst_total(n),
                 "n={n} seed={seed}"
@@ -51,7 +56,8 @@ fn worst_case_segment_assignment_realises_large_totals_on_the_cycle() {
         arrangement.push(n - 1);
         arrangement.extend(segment.iter().map(|&x| x as usize));
         let assignment = IdAssignment::from_vec(arrangement).unwrap();
-        let profile = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
+        let profile =
+            run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
         let recurrence_total = a000788::total_bit_count(n as u64 - 1) + (n as u64) / 2;
         assert!(
             profile.total() as u64 >= recurrence_total.saturating_sub(n as u64),

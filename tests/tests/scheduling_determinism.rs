@@ -66,7 +66,7 @@ fn repeated_runs_are_bit_identical() {
     // run the same frozen session several times and demand equality of every
     // output and radius, on the most skewed cycle workload we have.
     let n = 1024;
-    let graph = cycle_with_assignment(n, &clustered_adversarial(n)).unwrap();
+    let graph = topology_with_assignment(&Topology::Cycle, n, &clustered_adversarial(n)).unwrap();
     let session = FrozenExecutor::new(&graph);
     let first = session.run(&LargestId, Knowledge::none()).unwrap();
     for round in 0..4 {
@@ -81,7 +81,7 @@ fn sweep_results_are_repeatable_under_the_pool() {
     // The whole harness path: parallel trials, nested parallel node loops,
     // per-participant session reuse — two identical sweeps must agree on
     // every aggregate bit for bit.
-    let sweep = Sweep::new(Problem::LargestId, vec![32, 64])
+    let sweep = Sweep::on(Problem::LargestId, Topology::Cycle, vec![32, 64])
         .with_policy(AssignmentPolicy::Random { base_seed: 9 })
         .with_trials(8);
     let a = sweep.run().unwrap();

@@ -10,7 +10,8 @@ fn worst_case_is_linear_for_every_assignment() {
         for assignment in
             [IdAssignment::Identity, IdAssignment::Reversed, IdAssignment::Shuffled { seed: 9 }]
         {
-            let profile = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
+            let profile =
+                run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
             assert_eq!(profile.max(), n / 2, "n={n}, assignment={assignment:?}");
         }
     }
@@ -24,7 +25,7 @@ fn average_grows_much_slower_than_worst_case() {
     let mut previous_separation = 0.0;
     for k in [5u32, 7, 9, 11] {
         let n = 1usize << k;
-        let result = Sweep::new(Problem::LargestId, vec![n])
+        let result = Sweep::on(Problem::LargestId, Topology::Cycle, vec![n])
             .with_policy(AssignmentPolicy::Random { base_seed: 3 })
             .with_trials(3)
             .run()
@@ -47,7 +48,9 @@ fn identity_assignment_realises_the_minimum_average() {
     // winner decide at radius 1 — the best possible average for this
     // algorithm, useful as a sanity lower bracket.
     for n in test_sizes() {
-        let profile = run_on_cycle(Problem::LargestId, n, &IdAssignment::Identity).unwrap();
+        let profile =
+            run_on_topology(Problem::LargestId, &Topology::Cycle, n, &IdAssignment::Identity)
+                .unwrap();
         let expected = ((n - 1) + n / 2) as f64 / n as f64;
         assert!((profile.average() - expected).abs() < 1e-9, "n={n}");
     }

@@ -159,14 +159,13 @@ proptest! {
             })
             .collect();
 
-        let cdf = service.query_cdf(QueryOptions::new()).expect("aggregates admit");
-        prop_assert_eq!(cdf.epoch, 1);
-        prop_assert_eq!(&cdf.cdf, &avglocal::RadiusCdf::from_radii(&radii));
-
-        let quantile = service.query_quantile(990, QueryOptions::new()).expect("aggregates admit");
-        prop_assert_eq!(quantile.radius, cdf.cdf.quantile(990));
-
         let measures = service.query_measures(QueryOptions::new()).expect("aggregates admit");
+        prop_assert_eq!(measures.epoch, 1);
+        let cdf = &measures.measures.cdf;
+        prop_assert_eq!(cdf, &avglocal::RadiusCdf::from_radii(&radii));
+        let p990 = measures.measures.get(avglocal::Measure::Quantile { per_mille: 990 });
+        prop_assert_eq!(p990, Some(cdf.quantile(990)));
+
         let profile = avglocal::RadiusProfile::new(radii);
         prop_assert_eq!(
             measures.measures,

@@ -4,9 +4,9 @@
 //!
 //! Three guarantees are pinned down here:
 //!
-//! 1. a sweep on [`Topology::Cycle`] is **bit-for-bit** the old
-//!    `run_on_cycle` pipeline — rows, summaries, and determinism under
-//!    parallel trials;
+//! 1. a sweep on [`Topology::Cycle`] is **bit-for-bit** a sequential
+//!    rebuild from single `run_on_topology` runs — rows, summaries, and
+//!    determinism under parallel trials;
 //! 2. a reused [`FrozenExecutor`] session probes every node of every
 //!    supported topology exactly like a session frozen for each probe;
 //! 3. a `G(n, p)` family that cannot produce a connected instance is a loud
@@ -31,7 +31,7 @@ fn supported_topologies(n: usize, seed: u64) -> Vec<Topology> {
 }
 
 /// Rebuilds a one-size sweep row the way the pre-topology harness did:
-/// sequentially, through the cycle-only entry points.
+/// sequentially, one single-instance run per trial.
 fn legacy_cycle_row(
     problem: Problem,
     n: usize,
@@ -43,7 +43,7 @@ fn legacy_cycle_row(
     let mut totals = Vec::new();
     for trial in 0..trials {
         let assignment = policy.assignment_for_trial(trial);
-        let profile = run_on_cycle(problem, n, &assignment).unwrap();
+        let profile = run_on_topology(problem, &Topology::Cycle, n, &assignment).unwrap();
         let pair = MeasurePair::of(&profile);
         worst.push(pair.worst_case);
         averages.push(pair.average);
@@ -85,28 +85,21 @@ proptest! {
     }
 
     /// Two runs of the same sweep configuration are identical, trials being
-    /// parallel notwithstanding — and so is the legacy constructor, which is
-    /// now a thin wrapper over the topology-parameterised one.
+    /// parallel notwithstanding.
     #[test]
     fn sweeps_are_deterministic_under_parallel_trials(
         n in 4usize..40,
         base_seed in 0u64..200,
         trials in 2usize..6
     ) {
-        let build = |explicit_topology: bool| -> SweepResult {
-            let sweep = if explicit_topology {
-                Sweep::on(Problem::LargestId, Topology::Cycle, vec![n, n + 1])
-            } else {
-                Sweep::new(Problem::LargestId, vec![n, n + 1])
-            };
-            sweep
+        let build = || -> SweepResult {
+            Sweep::on(Problem::LargestId, Topology::Cycle, vec![n, n + 1])
                 .with_policy(AssignmentPolicy::Random { base_seed })
                 .with_trials(trials)
                 .run()
                 .unwrap()
         };
-        prop_assert_eq!(build(true), build(true));
-        prop_assert_eq!(build(true), build(false));
+        prop_assert_eq!(build(), build());
     }
 
     /// A reused frozen session and a session frozen per call agree on every
@@ -136,13 +129,16 @@ proptest! {
         }
     }
 
-    /// `run_on_topology` on the cycle family is exactly `run_on_cycle`.
+    /// `run_on_topology` on the cycle family is exactly the problem run on
+    /// the cycle generator's instance.
     #[test]
     fn run_on_topology_generalises_run_on_cycle(n in 3usize..64, seed in 0u64..300) {
         let assignment = IdAssignment::Shuffled { seed };
         let via_topology =
             run_on_topology(Problem::LargestId, &Topology::Cycle, n, &assignment).unwrap();
-        let via_cycle = run_on_cycle(Problem::LargestId, n, &assignment).unwrap();
+        let mut cycle = generators::cycle(n).unwrap();
+        assignment.apply(&mut cycle).unwrap();
+        let via_cycle = Problem::LargestId.run(&cycle).unwrap();
         prop_assert_eq!(via_topology, via_cycle);
     }
 }
@@ -161,8 +157,6 @@ fn disconnected_gnp_instances_are_rejected_not_measured() {
 
     // and the error survives the whole experiment stack.
     let err = Sweep::on(Problem::LargestId, family.clone(), vec![8]).run().unwrap_err();
-    assert!(matches!(err, CoreError::Graph(GraphError::Disconnected { .. })));
-    let err = random_permutation_study_on(Problem::LargestId, &family, 8, 3, 0).unwrap_err();
     assert!(matches!(err, CoreError::Graph(GraphError::Disconnected { .. })));
 }
 
