@@ -355,14 +355,16 @@ impl Sweep {
     ///
     /// Trials are independent and their seeds explicit, so they run on the
     /// work-stealing pool: the pool claims trials dynamically (a slow trial
-    /// stalls only itself). For a frozen instance each participant keeps one
-    /// [`FrozenExecutor`] session alive across every trial it steals —
-    /// cloning the [`CsrGraph`] shares the frozen adjacency and copies only
-    /// the `O(n)` identifier table — and each trial swaps the identifier
+    /// stalls only itself). Each participant clones `base` once and, for a
+    /// frozen instance, keeps one [`FrozenExecutor`] session — cloning the
+    /// [`CsrGraph`] shares the frozen adjacency and copies only the `O(n)`
+    /// identifier table — alive across every trial it steals. Each trial
+    /// re-labels the participant's graph and swaps the session's identifier
     /// table in place, so per-trial setup neither re-freezes nor re-clones
-    /// and the session's grower scratch stays warm. Collecting in trial
-    /// order keeps every aggregate bit-for-bit identical to a sequential
-    /// sweep.
+    /// and the session's grower scratch stays warm. Every identifier is
+    /// rewritten per trial, so no trial sees another's labels. Collecting in
+    /// trial order keeps every aggregate bit-for-bit identical to a
+    /// sequential sweep.
     fn run_trials<T: Send>(
         &self,
         base: &Graph,
@@ -372,18 +374,15 @@ impl Sweep {
         let per_trial: Vec<Result<T>> = (0..self.trials)
             .into_par_iter()
             .map_init(
-                || None,
-                |session: &mut Option<FrozenExecutor>, t| {
-                    let mut graph = base.clone();
-                    self.policy.assignment_for_trial(t).apply(&mut graph)?;
-                    let session = csr.map(|csr| {
-                        let session =
-                            session.get_or_insert_with(|| FrozenExecutor::from_csr(csr.clone()));
+                || (base.clone(), csr.map(|csr| FrozenExecutor::from_csr(csr.clone()))),
+                |(graph, session), t| {
+                    self.policy.assignment_for_trial(t).apply(graph)?;
+                    let session = session.as_mut().map(|session| {
                         let identifiers: Vec<_> = graph.identifiers().collect();
                         session.set_identifiers(&identifiers);
                         &*session
                     });
-                    trial(&graph, session, t)
+                    trial(graph, session, t)
                 },
             )
             .collect();

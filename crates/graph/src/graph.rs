@@ -244,20 +244,11 @@ impl Graph {
         self.adjacency.iter().map(Vec::len).max()
     }
 
-    /// Rebuilds the identifier reverse-lookup index.
-    ///
-    /// Needed after bulk identifier rewrites performed through
-    /// [`Graph::set_all_identifiers`].
-    fn rebuild_identifier_index(&mut self) {
-        self.by_identifier.clear();
-        for (i, id) in self.identifiers.iter().enumerate() {
-            self.by_identifier.entry(*id).or_insert(NodeId::new(i));
-        }
-    }
-
     /// Replaces the identifiers of every node at once.
     ///
     /// `identifiers[i]` becomes the identifier of the node with index `i`.
+    /// The reverse index is refilled in place with one hash pass, which also
+    /// detects duplicates; on error the graph is left unchanged.
     ///
     /// # Errors
     ///
@@ -271,15 +262,19 @@ impl Graph {
                 expected: self.node_count(),
             });
         }
-        let mut seen = HashMap::with_capacity(identifiers.len());
-        for id in identifiers {
-            if seen.insert(*id, ()).is_some() {
+        self.by_identifier.clear();
+        for (i, id) in identifiers.iter().enumerate() {
+            if self.by_identifier.insert(*id, NodeId::new(i)).is_some() {
+                // Restore the index of the untouched identifier table, with
+                // the first-node-wins rule of `add_node`.
+                self.by_identifier.clear();
+                for (i, id) in self.identifiers.iter().enumerate() {
+                    self.by_identifier.entry(*id).or_insert(NodeId::new(i));
+                }
                 return Err(GraphError::DuplicateIdentifier { identifier: id.value() });
             }
         }
-        self.identifiers.clear();
-        self.identifiers.extend_from_slice(identifiers);
-        self.rebuild_identifier_index();
+        self.identifiers.copy_from_slice(identifiers);
         Ok(())
     }
 
@@ -409,6 +404,32 @@ mod tests {
         assert_eq!(g.identifier(b), Identifier::new(20));
         assert_eq!(g.identifier(c), Identifier::new(10));
         assert_eq!(g.max_identifier_node(), Some(a));
+    }
+
+    #[test]
+    fn rejected_bulk_rewrite_leaves_the_graph_unchanged() {
+        // Node 3 repeats node 1's identifier, so the index keeps node 1 for
+        // it; a rejected rewrite must restore exactly that index.
+        let mut g = Graph::new();
+        for id in [10, 20, 30, 20] {
+            g.add_node(Identifier::new(id));
+        }
+        let before = g.clone();
+        let probes = [10, 20, 30, 40, 5, 6, 7, 8].map(Identifier::new);
+        let lookup = |g: &Graph| probes.map(|id| g.node_by_identifier(id));
+        let lookups = lookup(&g);
+        assert_eq!(lookups[1], Some(NodeId::new(1)));
+
+        let err = g.set_all_identifiers(&[5, 6, 7, 6].map(Identifier::new));
+        assert!(matches!(err, Err(GraphError::DuplicateIdentifier { identifier: 6 })));
+        assert!(g.identifiers().eq(before.identifiers()));
+        assert_eq!(lookup(&g), lookups);
+        assert_eq!(g, before);
+
+        // A later valid rewrite indexes only the new identifiers.
+        g.set_all_identifiers(&[5, 6, 7, 8].map(Identifier::new)).unwrap();
+        let expected = [None, None, None, None, Some(0), Some(1), Some(2), Some(3)];
+        assert_eq!(lookup(&g), expected.map(|i| i.map(NodeId::new)));
     }
 
     #[test]

@@ -40,7 +40,9 @@
 //! 3. **Offsets**: start at 0, are monotone non-decreasing, and end at `2m`.
 //! 4. **Targets**: every endpoint is `< n`, no self loops, no duplicate
 //!    neighbours, and the adjacency is **symmetric** (`u ∈ N(v)` ⇔
-//!    `v ∈ N(u)`), so the result is a simple undirected graph.
+//!    `v ∈ N(u)`), so the result is a simple undirected graph. These checks
+//!    run in linear time on dense arrays and report the first violation in
+//!    a fixed order, so a corrupt input gets the same error on every run.
 //! 5. **Components**: the stored labelling must equal the canonical one
 //!    recomputed from the validated adjacency (labels *and* sizes), so a
 //!    decoded snapshot's component structure can never disagree with its
@@ -50,7 +52,6 @@
 //! reproduces `csr` exactly, including port order, identifiers, and the
 //! component labelling.
 
-use std::collections::HashSet;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -242,11 +243,9 @@ impl CsrGraph {
             ));
         }
         let targets: Vec<u32> = (0..de).map(|i| read_u32(bytes, targets_at + 4 * i)).collect();
-        // Endpoint bounds, self loops, duplicates, and symmetry in one
-        // directed-edge pass: a simple undirected graph stores each edge as
-        // two distinct directed arcs, so the arc set must be duplicate-free,
-        // loop-free, and closed under reversal.
-        let mut arcs: HashSet<(u32, u32)> = HashSet::with_capacity(de);
+        // Endpoint bounds, self loops and duplicates in one pass in (v, port)
+        // order: `stamp[u] == v` marks `u` as already listed by `v`.
+        let mut stamp = vec![u32::MAX; n];
         for v in 0..n {
             let (from, to) = (offsets[v] as usize, offsets[v + 1] as usize);
             for (i, &u) in targets.iter().enumerate().take(to).skip(from) {
@@ -260,13 +259,39 @@ impl CsrGraph {
                 if u as usize == v {
                     return Err(corrupt(at, format!("self loop on node {v}")));
                 }
-                if !arcs.insert((v as u32, u)) {
+                if stamp[u as usize] == v as u32 {
                     return Err(corrupt(at, format!("duplicate neighbour {u} in node {v}'s list")));
                 }
+                stamp[u as usize] = v as u32;
             }
         }
-        for &(v, u) in &arcs {
-            if !arcs.contains(&(u, v)) {
+        // Symmetry through the transpose: a counting sort lists, for every
+        // `u`, the nodes that list `u` in ascending order. With no duplicate
+        // arcs, "every node that lists `u` is listed by `u`" for every `u` is
+        // equivalent to symmetry (both sides count `2m` arcs), and scanning
+        // `u` then its listers reports the first witness in `(u, v)` order.
+        let mut in_offsets = vec![0u32; n + 1];
+        for &u in &targets {
+            in_offsets[u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            in_offsets[u + 1] += in_offsets[u];
+        }
+        let mut fill = in_offsets.clone();
+        let mut listers = vec![0u32; de];
+        for v in 0..n {
+            for &u in &targets[offsets[v] as usize..offsets[v + 1] as usize] {
+                listers[fill[u as usize] as usize] = v as u32;
+                fill[u as usize] += 1;
+            }
+        }
+        stamp.fill(u32::MAX);
+        for u in 0..n {
+            for &w in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                stamp[w as usize] = u as u32;
+            }
+            let listed_by = &listers[in_offsets[u] as usize..in_offsets[u + 1] as usize];
+            if let Some(&v) = listed_by.iter().find(|&&v| stamp[v as usize] != u as u32) {
                 return Err(corrupt(
                     targets_at,
                     format!("asymmetric adjacency: {v} lists {u} but {u} does not list {v}"),
@@ -524,12 +549,16 @@ mod tests {
         assert!(err.to_string().contains("self loop"), "{err}");
 
         // Asymmetry: node 0 lists node 3 (a non-neighbour on the 6-cycle)
-        // without the reverse arc.
+        // instead of node 1, so two arcs lose their reverse. The decoder
+        // reports the first witness in (u, v) order, on every run.
         let mut bytes = base.clone();
         bytes[targets_at..targets_at + 4].copy_from_slice(&3u32.to_le_bytes());
         fix_checksum(&mut bytes);
         let err = CsrGraph::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("asymmetric"), "{err}");
+        assert!(
+            err.to_string().contains("asymmetric adjacency: 1 lists 0 but 0 does not list 1"),
+            "{err}"
+        );
 
         // Corrupt component label.
         let labels_at = targets_at + 4 * 2 * csr.edge_count();

@@ -9,8 +9,10 @@
 
 use avglocal::algorithms::LargestId;
 use avglocal::analysis::recurrence::clustered_adversarial_arrangement;
+use avglocal::analysis::Summary;
 use avglocal::prelude::*;
 use avglocal::runtime::Knowledge;
+use avglocal::SweepRow;
 use proptest::prelude::*;
 
 /// The scheduler-adversarial assignment from the skewed bench: the paper's
@@ -87,6 +89,92 @@ fn sweep_results_are_repeatable_under_the_pool() {
     let a = sweep.run().unwrap();
     let b = sweep.run().unwrap();
     assert_eq!(a, b);
+}
+
+/// The exact row of a sweep rebuilt trial by trial: a fresh instance and a
+/// fresh run per trial, folded the way `Sweep` folds an exact row.
+fn reference_row(
+    problem: Problem,
+    topology: &Topology,
+    n: usize,
+    mode: ComponentMode,
+    policy: &AssignmentPolicy,
+    trials: usize,
+) -> SweepRow {
+    let mut components = 1;
+    let sets: Vec<MeasureSet> = (0..trials)
+        .map(|t| {
+            let assignment = policy.assignment_for_trial(t);
+            let (graph, profile) = if mode == ComponentMode::PerComponent {
+                let mut graph = topology.build_for(n, mode).unwrap();
+                assignment.apply(&mut graph).unwrap();
+                components = ComponentLabels::of_graph(&graph).count();
+                let (profile, _) =
+                    run_on_topology_per_component(problem, topology, n, &assignment).unwrap();
+                (graph, profile)
+            } else {
+                let graph = topology_with_assignment(topology, n, &assignment).unwrap();
+                let profile = problem.run(&graph).unwrap();
+                (graph, profile)
+            };
+            MeasureSet::of(&profile, &graph)
+        })
+        .collect();
+    let mean = |f: fn(&MeasureSet) -> f64| sets.iter().map(f).sum::<f64>() / trials as f64;
+    let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
+    let average_summary = Summary::from_values(&averages);
+    let mut cdf = RadiusCdf::empty();
+    for set in &sets {
+        cdf.merge(&set.cdf);
+    }
+    SweepRow {
+        topology: topology.clone(),
+        n,
+        trials,
+        components,
+        worst_case: mean(|s| s.worst_case),
+        average: average_summary.mean,
+        average_summary,
+        total: mean(|s| s.total),
+        edge_averaged: mean(|s| s.edge_averaged),
+        edge_averaged_mean: mean(|s| s.edge_averaged_mean),
+        median: mean(|s| s.median),
+        cdf,
+        sampled: None,
+    }
+}
+
+#[test]
+fn reused_trial_graphs_leak_nothing_between_trials() {
+    // Each pool participant keeps one graph and re-labels it for every
+    // trial it claims; a row must equal the one built from a fresh instance
+    // per trial, for every problem, and for a disconnected instance in
+    // per-component mode.
+    let policy = AssignmentPolicy::Random { base_seed: 13 };
+    let trials = 7;
+    let mut cases: Vec<_> = Problem::ALL
+        .iter()
+        .map(|&problem| (problem, Topology::Cycle, 30, ComponentMode::RequireConnected))
+        .collect();
+    cases.push((
+        Problem::LargestId,
+        Topology::Gnp { p: 1.0 / 40.0, seed: 2 },
+        40,
+        ComponentMode::PerComponent,
+    ));
+    for (problem, topology, n, mode) in cases {
+        let result = Sweep::on(problem, topology.clone(), vec![n])
+            .with_policy(policy.clone())
+            .with_trials(trials)
+            .with_component_mode(mode)
+            .run()
+            .unwrap();
+        let expected = reference_row(problem, &topology, n, mode, &policy, trials);
+        assert_eq!(result.rows, vec![expected], "{} on {topology:?}", problem.key());
+        if mode == ComponentMode::PerComponent {
+            assert!(result.rows[0].components > 1, "the instance must be disconnected");
+        }
+    }
 }
 
 proptest! {
