@@ -5,11 +5,12 @@
 //! the session's dynamic per-shard scheduling
 //! ([`avglocal_runtime::FrozenExecutor::run_nodes_with`]), reusing one
 //! `GrowerScratch` per pool participant. One cooperative deadline budget
-//! covers the entire batch: every probe polls the same shared cancel hook
-//! once per ball-growth step, so when the budget expires mid-batch the
-//! reply comes back *partial* — completed entries keep their bit-identical
-//! answers, the rest are typed [`BatchOutcome::Expired`] — instead of the
-//! whole batch failing.
+//! covers the entire batch: the attempt fixes one absolute deadline tick,
+//! and every probe polls the same shared cancel hook once per ball-growth
+//! step (an unbounded batch gets no hook and reads no clock). When the
+//! budget expires mid-batch the reply comes back *partial* — completed
+//! entries keep their bit-identical answers, the rest are typed
+//! [`BatchOutcome::Expired`] — instead of the whole batch failing.
 //!
 //! Single queries and batches take the same [`QueryOptions`]: a deadline
 //! budget plus a [`Consistency`] mode (serve from the pinned generation, or
@@ -22,6 +23,7 @@ use std::sync::Arc;
 use avglocal_graph::NodeId;
 use avglocal_runtime::{BallAlgorithm, NodeBatchOptions, RuntimeError};
 
+use crate::clock::deadline_hook;
 use crate::error::{Result, ServiceError};
 use crate::service::{Generation, RadiusQueryService};
 
@@ -63,7 +65,9 @@ impl QueryOptions {
         QueryOptions::default()
     }
 
-    /// Overrides the deadline budget.
+    /// Overrides the deadline budget, in clock ticks from the start of each
+    /// probe attempt. [`u64::MAX`] means no deadline: the probe runs without
+    /// a cancel hook and never reads the clock.
     #[must_use]
     pub fn with_deadline(mut self, ticks: u64) -> Self {
         self.deadline = Some(ticks);
@@ -319,11 +323,11 @@ where
             NodeSelection::All => (0..generation.node_count()).map(NodeId::new).collect(),
             NodeSelection::Nodes(nodes) => nodes.clone(),
         };
-        let clock = self.clock();
-        let start = clock.now();
-        let cancel = move |_radius: usize| clock.now().saturating_sub(start) >= budget;
-        let options =
-            NodeBatchOptions::new().with_shard(self.config().batch_shard).with_cancel(&cancel);
+        let expired = deadline_hook(self.clock(), budget);
+        let mut options = NodeBatchOptions::new().with_shard(self.config().batch_shard);
+        if let Some(hook) = &expired {
+            options = options.with_cancel(hook);
+        }
         let results = generation.session().run_nodes_with(
             &nodes,
             self.algorithm(),

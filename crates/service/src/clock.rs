@@ -64,15 +64,36 @@ impl Clock for WallClock {
     }
 }
 
+/// The cancellation hook of a request with a deadline budget of `budget`
+/// ticks, or `None` when the budget can never run out.
+///
+/// The deadline is fixed once, as the absolute tick `clock.now() + budget`,
+/// and the hook reports expiry when a later read reaches it. A budget of
+/// [`u64::MAX`], or one whose deadline would lie past the tick range, is no
+/// deadline at all: no hook is returned and the clock is never read, so an
+/// unbounded probe pays nothing for time.
+pub(crate) fn deadline_hook(
+    clock: &dyn Clock,
+    budget: u64,
+) -> Option<impl Fn(usize) -> bool + Sync + '_> {
+    if budget == u64::MAX {
+        return None;
+    }
+    let deadline = clock.now().checked_add(budget)?;
+    Some(move |_radius: usize| clock.now() >= deadline)
+}
+
 /// A deterministic clock for tests and the chaos harness: ticks advance only
 /// through [`TestClock::advance`], [`Clock::sleep`], or an optional
-/// per-`now` auto-tick.
+/// per-`now` auto-tick, and saturate at [`u64::MAX`].
 ///
 /// The auto-tick makes deadline expiry scriptable without any cooperating
-/// thread: a probe polling its cancellation hook calls [`Clock::now`] once
-/// per ball-growth step, so `TestClock::with_autotick(1)` ages a query by
-/// exactly one tick per step — "this query times out after three growth
-/// steps" becomes a deterministic assertion.
+/// thread: a probe under a bounded budget calls [`Clock::now`] once to fix
+/// its deadline and once per ball-growth step, so
+/// `TestClock::with_autotick(1)` ages such a query by exactly one tick per
+/// step — "this query times out after three growth steps" becomes a
+/// deterministic assertion. An unbounded query never reads the clock, so it
+/// does not age it at all.
 #[derive(Debug)]
 pub struct TestClock {
     ticks: AtomicU64,
@@ -93,12 +114,20 @@ impl TestClock {
         TestClock { ticks: AtomicU64::new(0), autotick: per_now }
     }
 
-    /// Advances the clock by `ticks`.
+    /// Advances the clock by `ticks`, stopping at [`u64::MAX`].
     pub fn advance(&self, ticks: u64) {
+        self.add(ticks);
+    }
+
+    /// Adds `ticks` saturating, so the clock never wraps back past zero,
+    /// and returns the value before the addition.
+    fn add(&self, ticks: u64) -> u64 {
         // ordering: `Relaxed` — the tick counter carries no other state;
         // deadline checks only need a monotone value, which the RMW total
         // order provides.
-        self.ticks.fetch_add(ticks, Ordering::Relaxed);
+        self.ticks
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| Some(t.saturating_add(ticks)))
+            .unwrap_or_else(|before| before)
     }
 }
 
@@ -115,9 +144,8 @@ impl Clock for TestClock {
             // other memory is synchronised through it.
             return self.ticks.load(Ordering::Relaxed);
         }
-        // ordering: `Relaxed` — same counter; fetch_add returns the
-        // pre-increment value, so each `now` observes then ages the clock.
-        self.ticks.fetch_add(self.autotick, Ordering::Relaxed)
+        // The pre-increment value: each `now` observes then ages the clock.
+        self.add(self.autotick)
     }
 
     fn sleep(&self, ticks: u64) {
@@ -150,6 +178,54 @@ mod tests {
         assert_eq!(clock.now(), 6);
         clock.advance(100);
         assert_eq!(clock.now(), 109);
+    }
+
+    #[test]
+    fn advance_saturates_at_the_ceiling() {
+        let clock = TestClock::new();
+        clock.advance(u64::MAX);
+        clock.advance(1);
+        assert_eq!(clock.now(), u64::MAX);
+        clock.sleep(u64::MAX);
+        assert_eq!(clock.now(), u64::MAX);
+    }
+
+    #[test]
+    fn autotick_saturates_at_the_ceiling() {
+        let clock = TestClock::with_autotick(2);
+        clock.advance(u64::MAX - 3);
+        assert_eq!(clock.now(), u64::MAX - 3);
+        assert_eq!(clock.now(), u64::MAX - 1);
+        assert_eq!(clock.now(), u64::MAX);
+        assert_eq!(clock.now(), u64::MAX);
+    }
+
+    #[test]
+    fn unbounded_budgets_get_no_hook_and_read_no_clock() {
+        let clock = TestClock::with_autotick(1);
+        assert!(deadline_hook(&clock, u64::MAX).is_none());
+        assert_eq!(clock.now(), 0);
+
+        let clock = TestClock::new();
+        clock.advance(5);
+        // `5 + (u64::MAX - 5)` is the last tick: still a deadline.
+        assert!(deadline_hook(&clock, u64::MAX - 5).is_some());
+        // One tick further lies past the range: no hook.
+        assert!(deadline_hook(&clock, u64::MAX - 4).is_none());
+    }
+
+    #[test]
+    fn bounded_hook_fires_once_the_deadline_tick_is_reached() {
+        let clock = TestClock::new();
+        clock.advance(10);
+        let expired = deadline_hook(&clock, 3).unwrap();
+        assert!(!expired(0));
+        clock.advance(2);
+        assert!(!expired(1));
+        clock.advance(1);
+        assert!(expired(2));
+        let immediate = deadline_hook(&clock, 0).unwrap();
+        assert!(immediate(0));
     }
 
     #[test]

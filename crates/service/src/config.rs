@@ -16,7 +16,8 @@ pub struct ServiceConfig {
     /// Admission bound: requests beyond this many in flight are shed.
     pub max_in_flight: usize,
     /// Deadline budget, in clock ticks, of queries that do not bring their
-    /// own ([`u64::MAX`] = effectively unlimited).
+    /// own. [`u64::MAX`] (the default) means no deadline: such queries run
+    /// without a cancel hook and never read the clock.
     pub default_deadline: u64,
     /// Backoff before retry `k` (1-based) of a latest-consistency query is
     /// `backoff_base << (k - 1)` ticks, saturating at `u64::MAX`.

@@ -28,9 +28,13 @@
 //! [`ServiceError::Overloaded`] — typed backpressure instead of an unbounded
 //! queue. A batched query ([`RadiusQueryService::query_batch`]) counts as
 //! **one** admission slot regardless of how many nodes it shards across the
-//! pool. Admitted requests carry a deadline budget in [`Clock`] ticks,
-//! enforced by cooperative cancellation polled once per ball-growth step
-//! ([`ServiceError::DeadlineExceeded`]).
+//! pool. Admitted requests carry a deadline budget in [`Clock`] ticks. A
+//! probe attempt fixes its deadline once, as the absolute tick
+//! `now + budget`, and a cooperative cancel hook polls the clock once per
+//! ball-growth step, expiring the probe when `now >= deadline`
+//! ([`ServiceError::DeadlineExceeded`]). A budget of [`u64::MAX`] (the
+//! default), or one whose deadline would lie past the tick range, is no
+//! deadline: the probe runs without a cancel hook and never reads the clock.
 //!
 //! Every entry point funnels through one implementation path driven by
 //! [`QueryOptions`]: the deadline budget plus a [`Consistency`] mode.
@@ -49,7 +53,7 @@ use avglocal_graph::{CsrGraph, GraphError, NodeId};
 use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge, ProbeOptions, RuntimeError};
 
 use crate::batch::{Consistency, QueryOptions};
-use crate::clock::Clock;
+use crate::clock::{deadline_hook, Clock};
 use crate::config::ServiceConfig;
 use crate::error::{Result, ServiceError};
 
@@ -372,15 +376,13 @@ impl<A: BallAlgorithm> RadiusQueryService<A> {
                 node_count: generation.node_count(),
             })));
         }
-        let start = self.clock.now();
-        let clock = self.clock.as_ref();
-        let mut expired = |_radius: usize| clock.now().saturating_sub(start) >= budget;
-        let result = generation.session.run_node_with(
-            node,
-            &self.algorithm,
-            self.knowledge,
-            ProbeOptions::new().with_cancel(&mut expired),
-        );
+        let mut expired = deadline_hook(self.clock.as_ref(), budget);
+        let mut options = ProbeOptions::new();
+        if let Some(hook) = expired.as_mut() {
+            options = options.with_cancel(hook);
+        }
+        let result =
+            generation.session.run_node_with(node, &self.algorithm, self.knowledge, options);
         match result {
             Ok((output, radius)) => Ok(QueryReply { output, radius, epoch: generation.epoch }),
             Err(RuntimeError::Cancelled { radius, .. }) => {
