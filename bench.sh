@@ -8,8 +8,8 @@
 #
 # Usage: ./bench.sh [--quick] [--check]
 #
-# --check evaluates the regression-gate table (every block but freeze and
-# experiments is gated) and exits non-zero if any gate regressed — the step CI
+# --check evaluates the regression-gate table (every block but experiments
+# is gated) and exits non-zero if any gate regressed — the step CI
 # runs on every push (`AVG_LOCAL_THREADS=4 ./bench.sh --quick --check`).
 # Any other argument is rejected with a usage line and exit code 2.
 set -eu

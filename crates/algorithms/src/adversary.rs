@@ -11,36 +11,11 @@
 //!
 //! This module implements the constructive part of that argument as an
 //! executable procedure driven by a *radius oracle* — any function that, given
-//! an identifier arrangement around a cycle, reports every node's radius
-//! under the algorithm being attacked.
+//! an identifier arrangement around a cycle (position `i` holds identifier
+//! `arrangement[i]`), reports every node's radius under the algorithm being
+//! attacked.
 
 use avglocal_graph::{generators, Graph, IdAssignment, Identifier};
-use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge};
-
-/// A function that, given the identifier arrangement of a cycle (position
-/// `i` holds identifier `arrangement[i]`), returns the per-node radii of the
-/// algorithm under attack.
-pub type RadiusOracle<'a> = dyn Fn(&[u64]) -> Vec<usize> + 'a;
-
-/// Builds a radius oracle for a [`BallAlgorithm`] by materialising each
-/// candidate arrangement as a cycle graph and running the ball executor.
-///
-/// The oracle panics if the executor fails (which only happens for algorithms
-/// that refuse to terminate on a saturated view).
-pub fn ball_radius_oracle<A>(algorithm: A) -> impl Fn(&[u64]) -> Vec<usize>
-where
-    A: BallAlgorithm + Sync,
-    A::Output: Send,
-{
-    move |arrangement: &[u64]| {
-        let graph = cycle_with_arrangement(arrangement);
-        FrozenExecutor::new(&graph)
-            .run(&algorithm, Knowledge::none())
-            .expect("radius oracle: the algorithm must terminate on every cycle")
-            .radii()
-            .to_vec()
-    }
-}
 
 /// Builds the cycle graph whose position `i` carries identifier
 /// `arrangement[i]`.
@@ -89,7 +64,7 @@ impl SliceConstruction {
     /// The resulting arrangement packs many hard neighbourhoods next to each
     /// other, which is exactly what makes the *average* radius large.
     #[must_use]
-    pub fn build(&self, oracle: &RadiusOracle<'_>) -> Vec<u64> {
+    pub fn build(&self, oracle: &dyn Fn(&[u64]) -> Vec<usize>) -> Vec<u64> {
         let slice_len = 2 * self.slice_radius + 1;
         let mut remaining: Vec<u64> = (0..self.n as u64).collect();
         let mut pi: Vec<u64> = Vec::with_capacity(self.n);
@@ -134,7 +109,7 @@ impl SliceConstruction {
     /// Panics if the construction somehow fails to produce a permutation
     /// (which would indicate a bug in the oracle).
     #[must_use]
-    pub fn build_assignment(&self, oracle: &RadiusOracle<'_>) -> IdAssignment {
+    pub fn build_assignment(&self, oracle: &dyn Fn(&[u64]) -> Vec<usize>) -> IdAssignment {
         let arrangement = self.build(oracle);
         IdAssignment::from_vec(arrangement.iter().map(|&x| x as usize).collect())
             .expect("the slice construction always yields a permutation")
@@ -145,6 +120,19 @@ impl SliceConstruction {
 mod tests {
     use super::*;
     use crate::{LandmarkColoring, LargestId};
+    use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge};
+
+    /// The radius oracle of `algorithm`: run it on the cycle carrying each
+    /// candidate arrangement.
+    fn radius_oracle<A: BallAlgorithm + Sync>(algorithm: A) -> impl Fn(&[u64]) -> Vec<usize>
+    where
+        A::Output: Send,
+    {
+        move |arrangement: &[u64]| {
+            let graph = cycle_with_arrangement(arrangement);
+            FrozenExecutor::new(&graph).run(&algorithm, Knowledge::none()).unwrap().radii().to_vec()
+        }
+    }
 
     #[test]
     fn cycle_with_arrangement_places_identifiers() {
@@ -156,7 +144,7 @@ mod tests {
 
     #[test]
     fn construction_returns_a_permutation() {
-        let oracle = ball_radius_oracle(LargestId);
+        let oracle = radius_oracle(LargestId);
         for n in [12usize, 20, 33] {
             for t in [1usize, 2, 3] {
                 let construction = SliceConstruction::new(n, t);
@@ -170,7 +158,7 @@ mod tests {
 
     #[test]
     fn construction_produces_an_applicable_assignment() {
-        let oracle = ball_radius_oracle(LargestId);
+        let oracle = radius_oracle(LargestId);
         let construction = SliceConstruction::new(16, 2);
         let assignment = construction.build_assignment(&oracle);
         let mut g = generators::cycle(16).unwrap();
@@ -184,7 +172,7 @@ mod tests {
         // landmark colouring its average radius should be at least the
         // random-assignment average.
         let n = 64usize;
-        let oracle = ball_radius_oracle(LandmarkColoring);
+        let oracle = radius_oracle(LandmarkColoring);
         let construction = SliceConstruction::new(n, 3);
         let adversarial = construction.build(&oracle);
         let adversarial_radii = oracle(&adversarial);
@@ -208,7 +196,7 @@ mod tests {
 
     #[test]
     fn slice_radius_zero_still_yields_permutation() {
-        let oracle = ball_radius_oracle(LargestId);
+        let oracle = radius_oracle(LargestId);
         let pi = SliceConstruction::new(10, 0).build(&oracle);
         let mut sorted = pi.clone();
         sorted.sort_unstable();

@@ -70,40 +70,6 @@ pub fn greedy_coloring(graph: &Graph) -> Vec<u64> {
     colors.into_iter().map(|c| c.expect("every node was coloured")).collect()
 }
 
-/// Centralized greedy maximal independent set: processes nodes in increasing
-/// identifier order, adding a node whenever none of its neighbours is already
-/// in the set.
-#[must_use]
-pub fn greedy_mis(graph: &Graph) -> Vec<bool> {
-    let mut order: Vec<NodeId> = graph.nodes().collect();
-    order.sort_by_key(|&v| graph.identifier(v));
-    let mut in_set = vec![false; graph.node_count()];
-    for v in order {
-        if graph.neighbors(v).iter().all(|&u| !in_set[u.index()]) {
-            in_set[v.index()] = true;
-        }
-    }
-    in_set
-}
-
-/// Centralized greedy maximal matching: processes edges in a canonical order
-/// and matches both endpoints whenever both are still free. Returns, for each
-/// node, the index of its partner (or `None`).
-#[must_use]
-pub fn greedy_maximal_matching(graph: &Graph) -> Vec<Option<usize>> {
-    let mut matched: Vec<Option<usize>> = vec![None; graph.node_count()];
-    let mut edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
-    edges
-        .sort_by_key(|&(u, v)| (graph.identifier(u).min(graph.identifier(v)), graph.identifier(u)));
-    for (u, v) in edges {
-        if matched[u.index()].is_none() && matched[v.index()].is_none() {
-            matched[u.index()] = Some(v.index());
-            matched[v.index()] = Some(u.index());
-        }
-    }
-    matched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,26 +94,6 @@ mod tests {
         let grid = generators::grid(4, 4).unwrap();
         let colors = greedy_coloring(&grid);
         assert!(verify::is_proper_coloring(&grid, &colors, 5));
-    }
-
-    #[test]
-    fn greedy_mis_is_maximal() {
-        for seed in 0..5u64 {
-            let g = ring(27, seed);
-            assert!(verify::is_maximal_independent_set(&g, &greedy_mis(&g)));
-        }
-        let star = generators::star(8).unwrap();
-        assert!(verify::is_maximal_independent_set(&star, &greedy_mis(&star)));
-    }
-
-    #[test]
-    fn greedy_matching_is_maximal() {
-        for seed in 0..5u64 {
-            let g = ring(26, seed);
-            assert!(verify::is_maximal_matching(&g, &greedy_maximal_matching(&g)));
-        }
-        let p = generators::path(9).unwrap();
-        assert!(verify::is_maximal_matching(&p, &greedy_maximal_matching(&p)));
     }
 
     #[test]

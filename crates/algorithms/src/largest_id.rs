@@ -7,9 +7,7 @@
 //! paper's headline separation.
 
 use avglocal_graph::Graph;
-use avglocal_runtime::{
-    BallAlgorithm, BallExecution, FrozenExecutor, Knowledge, LocalView, Result,
-};
+use avglocal_runtime::{BallAlgorithm, Knowledge, LocalView};
 
 /// The paper's algorithm for the largest-ID problem.
 ///
@@ -59,17 +57,6 @@ impl BallAlgorithm for LargestId {
             None
         }
     }
-}
-
-/// Runs the largest-ID algorithm on `graph` and returns the execution
-/// (outputs and per-node radii).
-///
-/// # Errors
-///
-/// Propagates executor errors; with [`LargestId`] these can only occur on
-/// graphs with non-distinct identifiers.
-pub fn run_largest_id(graph: &Graph) -> Result<BallExecution<bool>> {
-    FrozenExecutor::new(graph).run(&LargestId, Knowledge::none())
 }
 
 /// Checks that the outputs of a largest-ID execution are correct for `graph`:
@@ -124,17 +111,11 @@ pub fn predicted_cycle_radii(graph: &Graph) -> Vec<usize> {
         .collect()
 }
 
-/// Sum of the predicted radii over a cycle — the quantity the paper's
-/// recurrence `a(p)` (plus the `n/2` of the winner) upper-bounds.
-#[must_use]
-pub fn predicted_cycle_total(graph: &Graph) -> usize {
-    predicted_cycle_radii(graph).iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use avglocal_graph::{generators, IdAssignment, Identifier, NodeId};
+    use avglocal_runtime::FrozenExecutor;
 
     fn ring(n: usize, assignment: IdAssignment) -> Graph {
         let mut g = generators::cycle(n).unwrap();
@@ -145,7 +126,7 @@ mod tests {
     #[test]
     fn exactly_one_winner() {
         let g = ring(21, IdAssignment::Shuffled { seed: 77 });
-        let run = run_largest_id(&g).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         assert!(verify_largest_id(&g, run.outputs()));
         assert_eq!(run.outputs().iter().filter(|&&b| b).count(), 1);
     }
@@ -153,7 +134,7 @@ mod tests {
     #[test]
     fn winner_needs_half_the_cycle() {
         let g = ring(30, IdAssignment::Shuffled { seed: 1 });
-        let run = run_largest_id(&g).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         let winner = g.max_identifier_node().unwrap();
         assert_eq!(run.radius(winner), 15);
         assert_eq!(run.max_radius(), 15);
@@ -163,7 +144,7 @@ mod tests {
     fn executor_matches_combinatorial_prediction() {
         for seed in 0..10u64 {
             let g = ring(25, IdAssignment::Shuffled { seed });
-            let run = run_largest_id(&g).unwrap();
+            let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
             assert_eq!(run.radii(), predicted_cycle_radii(&g).as_slice(), "seed {seed}");
         }
     }
@@ -173,23 +154,23 @@ mod tests {
         // Identifiers increase around the cycle: every non-maximum node sees a
         // larger identifier at radius 1; the maximum needs ⌊n/2⌋.
         let g = ring(16, IdAssignment::Identity);
-        let run = run_largest_id(&g).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         let radii = run.radii();
         assert_eq!(radii[15], 8);
         assert!(radii[..15].iter().all(|&r| r == 1));
-        assert_eq!(predicted_cycle_total(&g), 8 + 15);
+        assert_eq!(predicted_cycle_radii(&g).iter().sum::<usize>(), 8 + 15);
     }
 
     #[test]
     fn works_on_paths_and_trees_too() {
         let mut g = generators::path(10).unwrap();
         IdAssignment::Shuffled { seed: 4 }.apply(&mut g).unwrap();
-        let run = run_largest_id(&g).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         assert!(verify_largest_id(&g, run.outputs()));
 
         let mut t = generators::balanced_tree(2, 4).unwrap();
         IdAssignment::Shuffled { seed: 8 }.apply(&mut t).unwrap();
-        let run = run_largest_id(&t).unwrap();
+        let run = FrozenExecutor::new(&t).run(&LargestId, Knowledge::none()).unwrap();
         assert!(verify_largest_id(&t, run.outputs()));
     }
 
@@ -209,7 +190,7 @@ mod tests {
     #[test]
     fn average_is_much_smaller_than_max_on_large_rings() {
         let g = ring(1024, IdAssignment::Shuffled { seed: 3 });
-        let run = run_largest_id(&g).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         assert_eq!(run.max_radius(), 512);
         // ln(1024) ≈ 6.9; allow a generous constant.
         assert!(run.average_radius() < 20.0, "average was {}", run.average_radius());
@@ -218,7 +199,7 @@ mod tests {
     #[test]
     fn reversed_assignment_mirrors_identity() {
         let g = ring(12, IdAssignment::Reversed);
-        let run = run_largest_id(&g).unwrap();
+        let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
         assert!(*run.output(NodeId::new(0)));
         assert_eq!(run.radius(NodeId::new(0)), 6);
         assert_eq!(g.identifier(NodeId::new(0)), Identifier::new(11));

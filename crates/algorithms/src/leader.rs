@@ -8,19 +8,15 @@
 //! seeing the entire graph. Together the two variants illustrate the paper's
 //! concluding question about which problems admit an average/worst-case gap.
 
-use avglocal_graph::{Graph, Identifier, NodeId};
-use avglocal_runtime::{
-    BallAlgorithm, BallExecution, FrozenExecutor, Knowledge, LocalView, Result,
-};
-
-use crate::largest_id::LargestId;
+use avglocal_graph::Identifier;
+use avglocal_runtime::{BallAlgorithm, Knowledge, LocalView};
 
 /// Every node outputs the identifier of the leader (the global maximum).
 ///
 /// A node can only be certain about the global maximum once it has seen its
 /// whole connected component, so every node's radius equals the saturation
 /// radius — the average equals the worst case, in sharp contrast with
-/// [`LargestId`].
+/// [`LargestId`](crate::LargestId).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KnowTheLeader;
 
@@ -36,47 +32,17 @@ impl BallAlgorithm for KnowTheLeader {
     }
 }
 
-/// Result of a leader election: the elected node and the execution that
-/// produced it.
-#[derive(Debug, Clone)]
-pub struct Election {
-    /// The node elected as leader (the one carrying the maximum identifier).
-    pub leader: NodeId,
-    /// The underlying largest-ID execution (per-node outputs and radii).
-    pub execution: BallExecution<bool>,
-}
-
-/// Elects a leader on `graph` by running the largest-ID algorithm.
-///
-/// # Errors
-///
-/// Propagates executor errors.
-pub fn elect_leader(graph: &Graph) -> Result<Election> {
-    let execution = FrozenExecutor::new(graph).run(&LargestId, Knowledge::none())?;
-    let leader = graph
-        .nodes()
-        .find(|&v| *execution.output(v))
-        .expect("largest-ID always elects exactly one leader on a graph with distinct identifiers");
-    Ok(Election { leader, execution })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avglocal_graph::{generators, IdAssignment};
+    use crate::LargestId;
+    use avglocal_graph::{generators, Graph, IdAssignment};
+    use avglocal_runtime::FrozenExecutor;
 
     fn ring(n: usize, seed: u64) -> Graph {
         let mut g = generators::cycle(n).unwrap();
         IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
         g
-    }
-
-    #[test]
-    fn elected_leader_has_maximum_identifier() {
-        let g = ring(15, 3);
-        let election = elect_leader(&g).unwrap();
-        assert_eq!(Some(election.leader), g.max_identifier_node());
-        assert!(*election.execution.output(election.leader));
     }
 
     #[test]
@@ -103,13 +69,5 @@ mod tests {
         let naming = FrozenExecutor::new(&g).run(&KnowTheLeader, Knowledge::none()).unwrap();
         assert!(largest.average_radius() < naming.average_radius());
         assert_eq!(largest.max_radius(), naming.max_radius());
-    }
-
-    #[test]
-    fn election_works_on_trees() {
-        let mut g = generators::balanced_tree(3, 3).unwrap();
-        IdAssignment::Shuffled { seed: 21 }.apply(&mut g).unwrap();
-        let election = elect_leader(&g).unwrap();
-        assert_eq!(Some(election.leader), g.max_identifier_node());
     }
 }

@@ -55,14 +55,12 @@ pub mod reduce;
 mod three_coloring;
 pub mod verify;
 
-pub use adversary::{ball_radius_oracle, cycle_with_arrangement, SliceConstruction};
+pub use adversary::{cycle_with_arrangement, SliceConstruction};
 pub use baselines::{FullInfoColoring, FullInfoLargestId};
 pub use cole_vishkin::RingOrientation;
-pub use largest_id::{
-    predicted_cycle_radii, predicted_cycle_total, run_largest_id, verify_largest_id, LargestId,
-};
-pub use leader::{elect_leader, Election, KnowTheLeader};
-pub use matching::{run_matching, MatchingMessage, MatchingRing, MatchingState};
+pub use largest_id::{predicted_cycle_radii, verify_largest_id, LargestId};
+pub use leader::KnowTheLeader;
+pub use matching::{MatchingMessage, MatchingRing, MatchingState};
 pub use mis::{run_mis, MisMessage, MisRing, MisState};
 pub use three_coloring::{
     landmarks, run_three_coloring, LandmarkColoring, ThreeColorRing, ThreeColorState,
@@ -72,7 +70,7 @@ pub use three_coloring::{
 mod proptests {
     use super::*;
     use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::{FrozenExecutor, Knowledge};
+    use avglocal_runtime::{FrozenExecutor, Knowledge, SyncExecutor};
     use proptest::prelude::*;
 
     proptest! {
@@ -84,7 +82,7 @@ mod proptests {
         fn largest_id_correct_on_random_rings(n in 3usize..80, seed in 0u64..500) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let run = run_largest_id(&g).unwrap();
+            let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
             prop_assert!(verify_largest_id(&g, run.outputs()));
             let predicted = predicted_cycle_radii(&g);
             prop_assert_eq!(run.radii(), predicted.as_slice());
@@ -124,14 +122,25 @@ mod proptests {
         fn matching_valid_on_random_rings(n in 3usize..48, seed in 0u64..300) {
             let mut g = generators::cycle(n).unwrap();
             IdAssignment::Shuffled { seed }.apply(&mut g).unwrap();
-            let matched = run_matching(&g).unwrap();
+            let orientation = RingOrientation::trace(&g).unwrap();
+            let run = SyncExecutor::new()
+                .run(&g, &MatchingRing::new(orientation), Knowledge::none())
+                .unwrap();
+            let matched: Vec<Option<usize>> = run
+                .outputs()
+                .into_iter()
+                .map(|partner| partner.map(|id| g.node_by_identifier(id).unwrap().index()))
+                .collect();
             prop_assert!(verify::is_maximal_matching(&g, &matched));
         }
 
         /// The Section 3 slice construction always yields a permutation.
         #[test]
         fn slice_construction_is_permutation(n in 8usize..48, t in 0usize..4) {
-            let oracle = ball_radius_oracle(LargestId);
+            let oracle = |arrangement: &[u64]| {
+                let ring = cycle_with_arrangement(arrangement);
+                FrozenExecutor::new(&ring).run(&LargestId, Knowledge::none()).unwrap().radii().to_vec()
+            };
             let pi = SliceConstruction::new(n, t).build(&oracle);
             let mut sorted = pi.clone();
             sorted.sort_unstable();

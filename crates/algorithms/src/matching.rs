@@ -13,7 +13,7 @@
 //! (claimers decide one round before the nodes they claim), giving yet
 //! another radius profile for the average-measure experiments.
 
-use avglocal_graph::{Graph, Identifier, NodeId};
+use avglocal_graph::Identifier;
 use avglocal_runtime::{broadcast, Envelope, Knowledge, NodeContext, RoundAlgorithm};
 
 use crate::cole_vishkin::{cv_iterations_for_knowledge, RingOrientation};
@@ -167,37 +167,25 @@ impl RoundAlgorithm for MatchingRing {
     }
 }
 
-/// Runs [`MatchingRing`] on a cycle and returns, for each node (in node
-/// order), the index of its matching partner.
-///
-/// # Errors
-///
-/// Returns an error when the graph is not a single cycle or the execution
-/// fails.
-pub fn run_matching(graph: &Graph) -> Result<Vec<Option<usize>>, avglocal_runtime::RuntimeError> {
-    let orientation = RingOrientation::trace(graph)?;
-    let algo = MatchingRing::new(orientation);
-    let run = avglocal_runtime::SyncExecutor::new().run(graph, &algo, Knowledge::none())?;
-    let outputs = run.outputs();
-    Ok(outputs
-        .into_iter()
-        .map(|partner| {
-            partner.map(|id| {
-                graph
-                    .node_by_identifier(id)
-                    .map(NodeId::index)
-                    .expect("partners are identifiers of ring nodes")
-            })
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify;
-    use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::SyncExecutor;
+    use avglocal_graph::{generators, Graph, IdAssignment};
+    use avglocal_runtime::{RuntimeError, SyncExecutor};
+
+    /// Runs [`MatchingRing`] on a cycle and returns, for each node, the index
+    /// of its matching partner.
+    fn run_matching(graph: &Graph) -> Result<Vec<Option<usize>>, RuntimeError> {
+        let orientation = RingOrientation::trace(graph)?;
+        let run =
+            SyncExecutor::new().run(graph, &MatchingRing::new(orientation), Knowledge::none())?;
+        Ok(run
+            .outputs()
+            .into_iter()
+            .map(|partner| partner.map(|id| graph.node_by_identifier(id).unwrap().index()))
+            .collect())
+    }
 
     fn ring(n: usize, seed: u64) -> Graph {
         let mut g = generators::cycle(n).unwrap();

@@ -7,11 +7,7 @@ use avglocal_graph::{ComponentLabels, Graph, Identifier};
 
 /// The largest identifier of each component, indexed by component label, or
 /// `None` when `labels` does not cover the graph.
-#[must_use]
-pub fn component_max_identifiers(
-    graph: &Graph,
-    labels: &ComponentLabels,
-) -> Option<Vec<Identifier>> {
+fn component_max_identifiers(graph: &Graph, labels: &ComponentLabels) -> Option<Vec<Identifier>> {
     if labels.node_count() != graph.node_count() {
         return None;
     }
@@ -132,15 +128,6 @@ pub fn is_maximal_matching(graph: &Graph, matched: &[Option<usize>]) -> bool {
     graph.edges().all(|(u, v)| matched[u.index()].is_some() || matched[v.index()].is_some())
 }
 
-/// Number of distinct colours used by a colouring.
-#[must_use]
-pub fn color_count(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,13 +180,6 @@ mod tests {
         // Partner index out of range.
         let oob = vec![Some(99), None, None, None, None, None];
         assert!(!is_maximal_matching(&g, &oob));
-    }
-
-    #[test]
-    fn color_counting() {
-        assert_eq!(color_count(&[0, 1, 2, 1, 0]), 3);
-        assert_eq!(color_count(&[]), 0);
-        assert_eq!(color_count(&[7, 7, 7]), 1);
     }
 
     #[test]

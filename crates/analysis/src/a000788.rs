@@ -3,12 +3,11 @@
 //! The paper identifies the worst-case total radius of the largest-ID
 //! algorithm with this sequence and uses its `Θ(n log n)` growth to conclude
 //! that the average radius is logarithmic. This module provides the direct
-//! definition, the standard divide-and-conquer recurrence, a fast closed-form
-//! style evaluation, and the asymptotic envelope.
+//! definition, a fast closed-form style evaluation, and the asymptotic
+//! envelope.
 
 /// Number of 1-bits of `x`.
-#[must_use]
-pub fn bit_count(x: u64) -> u64 {
+fn bit_count(x: u64) -> u64 {
     u64::from(x.count_ones())
 }
 
@@ -53,10 +52,6 @@ pub fn total_bit_count(n: u64) -> u64 {
     total
 }
 
-/// The first values of A000788, for cross-checking against OEIS.
-pub const OEIS_PREFIX: [u64; 20] =
-    [0, 1, 2, 4, 5, 7, 9, 12, 13, 15, 17, 20, 22, 25, 28, 32, 33, 35, 37, 40];
-
 /// The leading-order asymptotic `n·log2(n)/2` of A000788.
 ///
 /// Returns 0.0 for `n <= 1`.
@@ -69,25 +64,15 @@ pub fn asymptotic_estimate(n: u64) -> f64 {
     0.5 * x * x.log2()
 }
 
-/// Verifies the divide-and-conquer recurrence
-/// `A(2n) = A(n) + A(n-1) + n` and `A(2n+1) = 2·A(n) + n + 1`
-/// for a single `n >= 1`. Used in tests and exposed for documentation value.
-#[must_use]
-pub fn recurrence_holds_at(n: u64) -> bool {
-    if n == 0 {
-        return true;
-    }
-    let a = total_bit_count;
-    a(2 * n) == a(n) + a(n - 1) + n && a(2 * n + 1) == 2 * a(n) + n + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn prefix_matches_oeis() {
-        for (n, &expected) in OEIS_PREFIX.iter().enumerate() {
+        // The first values of A000788 as listed by OEIS.
+        let prefix = [0u64, 1, 2, 4, 5, 7, 9, 12, 13, 15, 17, 20, 22, 25, 28, 32, 33, 35, 37, 40];
+        for (n, &expected) in prefix.iter().enumerate() {
             assert_eq!(total_bit_count(n as u64), expected, "n = {n}");
             assert_eq!(total_bit_count_naive(n as u64), expected, "n = {n}");
         }
@@ -110,10 +95,12 @@ mod tests {
 
     #[test]
     fn divide_and_conquer_recurrence() {
+        // A(2n) = A(n) + A(n-1) + n and A(2n+1) = 2·A(n) + n + 1.
+        let a = total_bit_count;
         for n in 1..512u64 {
-            assert!(recurrence_holds_at(n), "n = {n}");
+            assert_eq!(a(2 * n), a(n) + a(n - 1) + n, "n = {n}");
+            assert_eq!(a(2 * n + 1), 2 * a(n) + n + 1, "n = {n}");
         }
-        assert!(recurrence_holds_at(0));
     }
 
     #[test]

@@ -136,26 +136,6 @@ pub fn best_model(xs: &[f64], ys: &[f64]) -> GrowthModel {
     rank_models(xs, ys).first().map(|f| f.model).unwrap_or(GrowthModel::Constant)
 }
 
-/// Ordinary least squares for the two-parameter line `y ≈ a + b·x`.
-///
-/// Returns `(a, b)`; both are 0.0 when fewer than two points are given.
-#[must_use]
-pub fn linear_regression(xs: &[f64], ys: &[f64]) -> (f64, f64) {
-    if xs.len() < 2 || xs.len() != ys.len() {
-        return (0.0, 0.0);
-    }
-    let n = xs.len() as f64;
-    let mean_x = xs.iter().sum::<f64>() / n;
-    let mean_y = ys.iter().sum::<f64>() / n;
-    let cov: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mean_x) * (y - mean_y)).sum();
-    let var: f64 = xs.iter().map(|x| (x - mean_x).powi(2)).sum();
-    if var == 0.0 {
-        return (mean_y, 0.0);
-    }
-    let b = cov / var;
-    (mean_y - b * mean_x, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,24 +203,6 @@ mod tests {
         for w in ranked.windows(2) {
             assert!(w[0].rmse <= w[1].rmse);
         }
-    }
-
-    #[test]
-    fn linear_regression_recovers_line() {
-        let x: Vec<f64> = (0..10).map(f64::from).collect();
-        let y: Vec<f64> = x.iter().map(|v| 3.0 + 2.0 * v).collect();
-        let (a, b) = linear_regression(&x, &y);
-        assert!((a - 3.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linear_regression_degenerate_cases() {
-        assert_eq!(linear_regression(&[], &[]), (0.0, 0.0));
-        assert_eq!(linear_regression(&[1.0], &[2.0]), (0.0, 0.0));
-        let (a, b) = linear_regression(&[2.0, 2.0], &[1.0, 3.0]);
-        assert_eq!(b, 0.0);
-        assert_eq!(a, 2.0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod recurrence;
 pub mod sequences;
 pub mod stats;
 
-pub use fit::{best_model, fit_scale, linear_regression, rank_models, Fit, GrowthModel};
+pub use fit::{best_model, fit_scale, rank_models, Fit, GrowthModel};
 pub use logstar::{log2_ceil, log2_floor, log_star, tower};
 pub use stats::{
     fpc_half_width_95, histogram, percentile, sample_size_for_half_width, stratified_mean_ci,

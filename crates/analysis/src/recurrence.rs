@@ -44,23 +44,13 @@ pub fn segment_worst_totals(n: usize) -> Vec<u64> {
     a
 }
 
-/// Computes the single value `a(p)`.
-///
-/// Convenience wrapper around [`segment_worst_totals`]; prefer the vector
-/// version when several values are needed.
-#[must_use]
-pub fn segment_worst_total(p: usize) -> u64 {
-    *segment_worst_totals(p).last().expect("vector is non-empty")
-}
-
 /// For every `p`, a maximising split position `k` of the recurrence (the
 /// distance of the segment's largest identifier from the nearer endpoint in a
 /// worst-case permutation).
 ///
 /// The returned vector has length `n + 1`; entries 0 and 1 are 0 by
 /// convention (no split is needed).
-#[must_use]
-pub fn worst_split_positions(n: usize) -> Vec<usize> {
+fn worst_split_positions(n: usize) -> Vec<usize> {
     let a = segment_worst_totals(n);
     let mut split = vec![0usize; n + 1];
     for p in 2..=n {
@@ -172,7 +162,6 @@ mod tests {
         assert_eq!(segment_worst_totals(0), vec![0]);
         assert_eq!(segment_worst_totals(1), vec![0, 1]);
         assert_eq!(segment_worst_totals(7), vec![0, 1, 2, 4, 5, 7, 9, 12]);
-        assert_eq!(segment_worst_total(7), 12);
     }
 
     #[test]

@@ -16,12 +16,6 @@ pub fn harmonic(n: u64) -> f64 {
     (1..=n).map(|k| 1.0 / k as f64).sum()
 }
 
-/// The odd harmonic number `Σ_{k=1..n} 1/(2k-1)` (0.0 for `n = 0`).
-#[must_use]
-pub fn odd_harmonic(n: u64) -> f64 {
-    (1..=n).map(|k| 1.0 / (2 * k - 1) as f64).sum()
-}
-
 /// Expected radius of a fixed node for the ball-growing largest-ID algorithm
 /// on an `n`-cycle when the identifier permutation is uniformly random.
 ///
@@ -43,18 +37,6 @@ pub fn expected_random_radius_largest_id(n: u64) -> f64 {
         expectation += p;
     }
     expectation
-}
-
-/// Number of derangement-free fixed points expected in a uniform permutation
-/// of `n` elements (always exactly 1.0 for `n >= 1`); exposed because several
-/// sanity tests of the random-permutation study use it.
-#[must_use]
-pub fn expected_fixed_points(n: u64) -> f64 {
-    if n == 0 {
-        0.0
-    } else {
-        1.0
-    }
 }
 
 #[cfg(test)]
@@ -79,14 +61,15 @@ mod tests {
 
     #[test]
     fn odd_harmonic_relates_to_harmonic() {
-        // Identity: Σ_{k=1..n} 1/(2k-1) = H_{2n-1} − ½·H_{n-1}
+        // The expected radius is the odd harmonic number Σ_{k=1..m} 1/(2k-1)
+        // with m = ⌊n/2⌋, and Σ_{k=1..m} 1/(2k-1) = H_{2m-1} − ½·H_{m-1}
         // (remove the even denominators from the full harmonic sum).
-        for n in 1..50u64 {
-            let direct = odd_harmonic(n);
-            let via_harmonic = harmonic(2 * n - 1) - 0.5 * harmonic(n - 1);
+        for n in 3..100u64 {
+            let m = n / 2;
+            let via_harmonic = harmonic(2 * m - 1) - 0.5 * harmonic(m - 1);
+            let direct = expected_random_radius_largest_id(n);
             assert!((direct - via_harmonic).abs() < 1e-9, "n = {n}");
         }
-        assert_eq!(odd_harmonic(0), 0.0);
     }
 
     #[test]
@@ -100,12 +83,5 @@ mod tests {
         // Doubling n adds about ½ ln 2 ≈ 0.35.
         let e8192 = expected_random_radius_largest_id(8192);
         assert!((e8192 - e4096 - 0.5 * 2.0f64.ln()).abs() < 0.05);
-    }
-
-    #[test]
-    fn fixed_points_expectation() {
-        assert_eq!(expected_fixed_points(0), 0.0);
-        assert_eq!(expected_fixed_points(1), 1.0);
-        assert_eq!(expected_fixed_points(1000), 1.0);
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! `--check` evaluates the regression-gate table and exits non-zero if any
 //! gate regresses below its threshold — this is the step CI runs on every
-//! push. Every block but `freeze` and `experiments` is gated on every run.
+//! push. Every block but `experiments` is gated on every run.
 //!
 //! The worker-pool size is recorded in every block: scheduling comparisons
 //! only show wall-clock separation when the pool has real cores underneath
@@ -35,11 +35,11 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use avglocal::algorithms::{KnowTheLeader, LargestId};
+use avglocal::algorithms::LargestId;
 use avglocal::analysis::recurrence::clustered_adversarial_arrangement;
 use avglocal::graph::CsrGraph;
 use avglocal::prelude::*;
-use avglocal::runtime::{FrozenExecutor, Knowledge, NodeBatchOptions, ProbeOptions};
+use avglocal::runtime::{FrozenExecutor, Knowledge, ProbeOptions};
 use avglocal_bench::block::{print_block, print_gates, render_json, Block, Gate, Recorded, Row};
 use avglocal_bench::load::{raw_probe_load, service_batch_load, service_load};
 use avglocal_bench::load::{LoadConfig, LoadReport};
@@ -104,15 +104,6 @@ const BLOCKS: &[Block] = &[
             &[("n", 0), ("trials", 0), ("pool_ms", 3), ("spawn_ms", 3), ("speedup", 1)],
         )],
         run: pool,
-    },
-    Block {
-        name: "freeze",
-        description: Some(
-            "Graph::freeze: one serial pass copying the adjacency lists into the CSR arrays, plus \
-             the BFS connected-components labelling; recorded per arc (2 per edge), no gate",
-        ),
-        lists: &[("rows", &[("n", 0), ("edges", 0), ("freeze_ms", 3), ("ns_per_arc", 2)])],
-        run: freeze,
     },
     Block {
         name: "snapshot",
@@ -208,9 +199,10 @@ const BLOCKS: &[Block] = &[
         description: Some(
             "sampled estimation: the node-averaged know-the-leader measure from a 10% uniform \
              sample (seeded draw, one sharded probe pass) vs the exact full sweep on the \
-             shuffled grid; rel_error is gated at a 25% budget and the sampled path must beat \
-             the exact sweep 5x wherever the pool has real cores underneath; frontier rows \
-             extend the curve an order of magnitude past the largest exact sweep",
+             shuffled grid, both run end to end as one-trial Sweeps; rel_error is gated at a \
+             25% budget and the sampled sweep must beat the exact sweep 5x wherever the pool \
+             has real cores underneath; frontier rows extend the curve an order of magnitude \
+             past the largest exact sweep",
         ),
         lists: &[
             (
@@ -419,27 +411,13 @@ fn pool(quick: bool, threads: usize) -> Recorded {
     (vec![vec![row]], vec![gate])
 }
 
-/// The cycle sizes of the `freeze` and `snapshot` blocks.
+/// The cycle sizes of the `snapshot` block.
 fn freeze_sizes(quick: bool) -> &'static [usize] {
     if quick {
         &[1 << 14, 1 << 16]
     } else {
         &[1 << 16, 1 << 18]
     }
-}
-
-/// `Graph::freeze`: one serial copy pass over the adjacency lists plus the
-/// BFS connected-components labelling, the O(n + m) step in front of every
-/// sweep, recorded per arc (each undirected edge is two CSR arcs).
-fn freeze(quick: bool, _threads: usize) -> Recorded {
-    let mut rows = Vec::new();
-    for &n in freeze_sizes(quick) {
-        let graph = identity_cycle(n);
-        let (csr, freeze_ms) = measure_ms(|| graph.freeze());
-        let edges = csr.edge_count();
-        rows.push(vec![n as f64, edges as f64, freeze_ms, freeze_ms * 1e6 / (2 * edges) as f64]);
-    }
-    (vec![rows], Vec::new())
 }
 
 /// The versioned binary codec around `CsrGraph` (`to_bytes` / validating
@@ -582,49 +560,49 @@ fn service_batch(quick: bool, threads: usize) -> Recorded {
 
 /// The node-averaged measure estimated from a 10% uniform sample (one drawn
 /// set, one sharded probe pass) against the exact full sweep on the same
-/// instance; past the exact frontier only the sampled estimator runs,
-/// extending the E7-style curve an order of magnitude beyond the largest
-/// exact sweep. The family is the shuffled grid under `KnowTheLeader`:
-/// leader distances spread over many values, so a 10% sample is genuinely
-/// informative (ring `LargestId` radii hide half the mean in one extreme
-/// node, which no 10% sample can estimate — that regime belongs to the
-/// stratified MSE test, not a relative-error gate).
+/// instance, both as one-trial [`Sweep`]s: the sampled side is the exact
+/// sweep plus [`Sweep::with_sample_plan`], read from its one trial's
+/// [`SampledRow::per_trial`] entry. Past the exact frontier only the
+/// sampled sweep runs, extending the E7-style curve an order of magnitude
+/// beyond the largest exact sweep. The family is the shuffled grid under
+/// `KnowTheLeader`: leader distances spread over many values, so a 10%
+/// sample is genuinely informative (ring `LargestId` radii hide half the
+/// mean in one extreme node, which no 10% sample can estimate — that regime
+/// belongs to the stratified MSE test, not a relative-error gate).
 ///
 /// The draws are seeded, so the relative error is a deterministic property
 /// of (family seed, plan seed) and gates exactly at a 25% budget — generous
 /// against the measured few percent but tight enough to catch a broken
-/// estimator or a silently re-seeded stream. The wall-time speedup comes
-/// from probing a tenth of the population through the same pool, so it
-/// holds near 10x with real cores and still well above 1.5x inline.
+/// estimator or a silently re-seeded stream. Both sides are timed end to
+/// end (build, freeze, trial); the wall-time speedup comes from probing a
+/// tenth of the population through the same pool, so it holds near 10x
+/// with real cores and still well above 1.5x inline.
 fn sampling(quick: bool, threads: usize) -> Recorded {
     let sizes: &[usize] = if quick { &[256, 1024] } else { &[256, 1024, 4096] };
     let frontier_sizes: &[usize] = if quick { &[4096, 16384] } else { &[16384, 65536] };
-    let instance = |n: usize| {
-        let mut graph = Topology::Grid.build(n).expect("grids of the benchmarked sizes are valid");
-        IdAssignment::Shuffled { seed: 5 }.apply(&mut graph).expect("shuffles are permutations");
-        let csr = graph.freeze();
-        (FrozenExecutor::from_csr(csr.clone()), csr, SamplePlan::Uniform { budget: n / 10 })
+    let exact_sweep = |n: usize| {
+        Sweep::on(Problem::KnowTheLeader, Topology::Grid, vec![n])
+            .with_policy(AssignmentPolicy::Fixed(IdAssignment::Shuffled { seed: 5 }))
     };
-    let estimate = |csr: &CsrGraph, session: &FrozenExecutor, plan: SamplePlan| {
-        measure_ms(|| {
-            let sample = plan.draw(csr, plan.seed_for(42, 0));
-            let probed = Problem::KnowTheLeader
-                .probe_radii(session, sample.nodes(), &NodeBatchOptions::new())
-                .expect("know-the-leader terminates on every probed node");
-            sample.estimate(&probed).node_averaged.expect("uniform plans estimate the node average")
-        })
+    let run = |sweep: &Sweep| {
+        measure_ms(|| sweep.run().expect("know-the-leader terminates on every grid node"))
+    };
+    let sampled = |n: usize| {
+        let plan = SamplePlan::Uniform { budget: n / 10 };
+        let (result, sampled_ms) = run(&exact_sweep(n).with_sample_plan(plan).with_sample_seed(42));
+        let record = result.rows[0].sampled.as_ref().expect("sampled sweeps record estimates");
+        let estimate =
+            record.per_trial[0].node_averaged.expect("uniform plans estimate the node average");
+        (plan.budget() as f64, estimate, sampled_ms)
     };
     let mut rows = Vec::new();
     for &n in sizes {
-        let (session, csr, plan) = instance(n);
-        let (exact_run, exact_ms) =
-            measure_ms(|| session.run(&KnowTheLeader, Knowledge::none()).expect("terminates"));
-        let exact =
-            MeasureSet::of_csr(&RadiusProfile::new(exact_run.radii().to_vec()), &csr).node_averaged;
-        let (estimate, sampled_ms) = estimate(&csr, &session, plan);
+        let (exact, exact_ms) = run(&exact_sweep(n));
+        let exact = exact.rows[0].average;
+        let (budget, estimate, sampled_ms) = sampled(n);
         rows.push(vec![
             n as f64,
-            plan.budget() as f64,
+            budget,
             exact,
             estimate.value,
             estimate.half_width_95,
@@ -636,9 +614,7 @@ fn sampling(quick: bool, threads: usize) -> Recorded {
     }
     let mut frontier = Vec::new();
     for &n in frontier_sizes {
-        let (session, csr, plan) = instance(n);
-        let (estimate, sampled_ms) = estimate(&csr, &session, plan);
-        let budget = plan.budget() as f64;
+        let (budget, estimate, sampled_ms) = sampled(n);
         frontier.push(vec![n as f64, budget, estimate.value, estimate.half_width_95, sampled_ms]);
     }
     let max_rel_error = rows.iter().map(|r| r[5]).fold(0.0f64, f64::max);
@@ -718,7 +694,6 @@ mod tests {
             skewed.rows.static_ms:3 skewed.rows.stealing_ms:3 skewed.rows.static_over_stealing:2
             pool.rows.n:0 pool.rows.trials:0 pool.rows.pool_ms:3 pool.rows.spawn_ms:3
             pool.rows.speedup:1
-            freeze.rows.n:0 freeze.rows.edges:0 freeze.rows.freeze_ms:3 freeze.rows.ns_per_arc:2
             snapshot.rows.n:0 snapshot.rows.edges:0 snapshot.rows.bytes:0
             snapshot.rows.bytes_per_edge:1 snapshot.rows.encode_ms:3 snapshot.rows.decode_ms:3
             snapshot.rows.decode_mb_s:1

@@ -21,7 +21,7 @@
 //! | E7 | node-averaged complexity beyond the ring (BGKO line) | `bench_e1` blocks `sampling`, `experiments` |
 //! | E8 | node- vs edge-averaged vs worst-case measures | `bench_e1` block `experiments` |
 //! | E9 | hub-weighted families: edge/node detachment while connected | `bench_e1` blocks `hub`, `experiments` |
-//! | — | CSR freeze and the validating snapshot codec | `bench_e1` blocks `freeze`, `snapshot` |
+//! | — | the validating snapshot codec (freeze cost: perfbench `graph.freeze_ns_per_arc`) | `bench_e1` block `snapshot` |
 //! | — | radius-query service under sustained load (qps, p99, overhead) | `bench_e1` blocks `service`, `service_batch` |
 //!
 //! ```text

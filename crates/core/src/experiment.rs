@@ -687,6 +687,40 @@ mod tests {
     }
 
     #[test]
+    fn sampled_trials_equal_the_hand_composed_estimate() {
+        // Every trial's record is the plan's draw for that trial, probed on
+        // the trial's relabelled instance and estimated from the radii.
+        let (n, seed) = (48, 7);
+        let plan = SamplePlan::Uniform { budget: 10 };
+        for policy in [
+            AssignmentPolicy::Random { base_seed: 2 },
+            AssignmentPolicy::Fixed(IdAssignment::Shuffled { seed: 5 }),
+        ] {
+            let result = Sweep::on(Problem::LargestId, Topology::Grid, vec![n])
+                .with_policy(policy.clone())
+                .with_trials(3)
+                .with_sample_plan(plan)
+                .with_sample_seed(seed)
+                .run()
+                .unwrap();
+            let record = result.rows[0].sampled.as_ref().unwrap();
+            assert!(!record.census);
+            assert_eq!(record.per_trial.len(), 3);
+            for (t, trial) in record.per_trial.iter().enumerate() {
+                let assignment = policy.assignment_for_trial(t);
+                let csr =
+                    topology_with_assignment(&Topology::Grid, n, &assignment).unwrap().freeze();
+                let sample = plan.draw(&csr, plan.seed_for(seed, t));
+                let session = FrozenExecutor::from_csr(csr);
+                let radii = Problem::LargestId
+                    .probe_radii(&session, sample.nodes(), &NodeBatchOptions::new())
+                    .unwrap();
+                assert_eq!(*trial, sample.estimate(&radii), "{policy:?}, trial {t}");
+            }
+        }
+    }
+
+    #[test]
     fn sampled_sweep_rejects_unsupported_configurations() {
         // Round-based problems have no per-node probe.
         let err = Sweep::on(Problem::ThreeColoring, Topology::Cycle, vec![16])

@@ -414,12 +414,6 @@ impl ComponentMeasures {
     pub fn component_count(&self) -> usize {
         self.per_component.len()
     }
-
-    /// The measures of the component with the most nodes, if any.
-    #[must_use]
-    pub fn largest_component(&self) -> Option<&MeasureSet> {
-        self.per_component.iter().max_by_key(|m| m.nodes)
-    }
 }
 
 #[cfg(test)]
@@ -569,7 +563,6 @@ mod tests {
         assert_eq!(cm.aggregate.node_averaged, 2.0);
         assert_eq!(cm.aggregate.edge_averaged, 4.0);
         assert_eq!(cm.aggregate.worst_case, 4.0);
-        assert_eq!(cm.largest_component().unwrap().nodes, 2);
         // Totals are additive across components.
         let total: f64 = cm.per_component.iter().map(|m| m.total).sum();
         assert_eq!(total, cm.aggregate.total);

@@ -85,17 +85,6 @@ impl Comparison {
     pub fn ratio(&self) -> f64 {
         self.measured / self.predicted
     }
-
-    /// Returns `true` when the measurement is within a multiplicative
-    /// `factor` of the prediction in both directions.
-    #[must_use]
-    pub fn within_factor(&self, factor: f64) -> bool {
-        if self.predicted == 0.0 {
-            return self.measured == 0.0;
-        }
-        let r = self.ratio();
-        r <= factor && r >= 1.0 / factor
-    }
 }
 
 #[cfg(test)]
@@ -152,11 +141,7 @@ mod tests {
     fn comparison_ratios() {
         let c = Comparison { n: 100, predicted: 4.0, measured: 5.0 };
         assert!((c.ratio() - 1.25).abs() < 1e-12);
-        assert!(c.within_factor(1.5));
-        assert!(!c.within_factor(1.1));
         let zero = Comparison { n: 10, predicted: 0.0, measured: 0.0 };
-        assert!(zero.within_factor(2.0));
-        let bad = Comparison { n: 10, predicted: 0.0, measured: 1.0 };
-        assert!(!bad.within_factor(2.0));
+        assert!(zero.ratio().is_nan());
     }
 }

@@ -125,12 +125,6 @@ impl Ball {
         self.index_of.get(&node).map(|&i| self.distances[i])
     }
 
-    /// Identifier of `node`, if `node` is inside the ball.
-    #[must_use]
-    pub fn identifier_of(&self, node: NodeId) -> Option<Identifier> {
-        self.index_of.get(&node).map(|&i| self.identifiers[i])
-    }
-
     /// Largest identifier inside the ball.
     #[must_use]
     pub fn max_identifier(&self) -> Identifier {
@@ -143,16 +137,6 @@ impl Ball {
     pub fn center_has_max_identifier(&self) -> bool {
         let c = self.center_identifier();
         self.identifiers.iter().all(|&id| id <= c)
-    }
-
-    /// Host ids of the nodes at exactly distance `d` from the centre.
-    #[must_use]
-    pub fn nodes_at_distance(&self, d: usize) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .zip(&self.distances)
-            .filter_map(|(&v, &dist)| (dist == d).then_some(v))
-            .collect()
     }
 
     /// Returns `true` when the ball already covers the centre's entire
@@ -324,8 +308,6 @@ mod tests {
         assert_eq!(b.distance_to(NodeId::new(5)), None);
         assert!(b.contains(NodeId::new(1)));
         assert!(!b.contains(NodeId::new(5)));
-        assert_eq!(b.nodes_at_distance(2).len(), 2);
-        assert_eq!(b.nodes_at_distance(0), vec![NodeId::new(2)]);
     }
 
     #[test]
@@ -335,8 +317,6 @@ mod tests {
         // Node 7 has the largest default identifier (7) and sees 6 and 0.
         assert!(b.center_has_max_identifier());
         assert_eq!(b.max_identifier(), Identifier::new(7));
-        assert_eq!(b.identifier_of(NodeId::new(0)), Some(Identifier::new(0)));
-        assert_eq!(b.identifier_of(NodeId::new(3)), None);
 
         let b0 = extract_ball(&g, NodeId::new(0), 1);
         assert!(!b0.center_has_max_identifier());

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use crate::components::ComponentLabels;
-use crate::{Graph, Identifier, NodeId};
+use crate::{Graph, Identifier};
 
 /// A frozen adjacency snapshot of a [`Graph`] in compressed sparse row form.
 ///
@@ -186,12 +186,6 @@ impl CsrGraph {
         &self.identifiers
     }
 
-    /// Host [`NodeId`] of CSR node `v`.
-    #[must_use]
-    pub fn node_id(&self, v: u32) -> NodeId {
-        NodeId::new(v as usize)
-    }
-
     /// Iterator over all undirected edges as `(u, v)` node-index pairs with
     /// `u < v`, in node order — the edge stream the measure layer folds over.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -244,7 +238,7 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, NodeId};
 
     #[test]
     fn csr_mirrors_graph_adjacency() {
@@ -351,12 +345,5 @@ mod tests {
         clone.set_identifiers(&(0..6).rev().map(Identifier::new).collect::<Vec<_>>());
         assert_ne!(csr.identifier(0), clone.identifier(0));
         assert_eq!(csr.neighbors(3), clone.neighbors(3));
-    }
-
-    #[test]
-    fn node_id_round_trip() {
-        let g = generators::cycle(4).unwrap();
-        let csr = g.freeze();
-        assert_eq!(csr.node_id(3), NodeId::new(3));
     }
 }

@@ -183,25 +183,6 @@ impl Graph {
         self.identifiers[node.index()]
     }
 
-    /// Replaces the identifier of `node`, keeping the reverse index coherent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfBounds`] if `node` does not exist.
-    pub fn set_identifier(&mut self, node: NodeId, identifier: Identifier) -> Result<()> {
-        self.check_node(node)?;
-        let old = self.identifiers[node.index()];
-        if old == identifier {
-            return Ok(());
-        }
-        if self.by_identifier.get(&old) == Some(&node) {
-            self.by_identifier.remove(&old);
-        }
-        self.identifiers[node.index()] = identifier;
-        self.by_identifier.entry(identifier).or_insert(node);
-        Ok(())
-    }
-
     /// Looks up the node carrying `identifier`, if any.
     #[must_use]
     pub fn node_by_identifier(&self, identifier: Identifier) -> Option<NodeId> {
@@ -279,10 +260,12 @@ impl Graph {
     }
 
     /// Checks that every node carries a distinct identifier.
+    ///
+    /// The reverse index holds one entry per distinct identifier, so the
+    /// identifiers are distinct exactly when it has one entry per node.
     #[must_use]
     pub fn has_unique_identifiers(&self) -> bool {
-        let mut seen = HashMap::with_capacity(self.identifiers.len());
-        self.identifiers.iter().all(|id| seen.insert(*id, ()).is_none())
+        self.by_identifier.len() == self.identifiers.len()
     }
 
     fn check_node(&self, node: NodeId) -> Result<()> {
@@ -370,25 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn set_identifier_updates_lookup() {
-        let (mut g, a, _, _) = triangle();
-        g.set_identifier(a, Identifier::new(50)).unwrap();
-        assert_eq!(g.identifier(a), Identifier::new(50));
-        assert_eq!(g.node_by_identifier(Identifier::new(50)), Some(a));
-        assert_eq!(g.node_by_identifier(Identifier::new(1)), None);
-        assert_eq!(g.max_identifier_node(), Some(a));
-    }
-
-    #[test]
-    fn set_identifier_out_of_bounds() {
-        let mut g = Graph::new();
-        assert!(matches!(
-            g.set_identifier(NodeId::new(0), Identifier::new(1)),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
-    }
-
-    #[test]
     fn set_all_identifiers_validates() {
         let (mut g, a, b, c) = triangle();
         let err = g.set_all_identifiers(&[Identifier::new(5)]);
@@ -430,6 +394,20 @@ mod tests {
         g.set_all_identifiers(&[5, 6, 7, 8].map(Identifier::new)).unwrap();
         let expected = [None, None, None, None, Some(0), Some(1), Some(2), Some(3)];
         assert_eq!(lookup(&g), expected.map(|i| i.map(NodeId::new)));
+    }
+
+    #[test]
+    fn repeated_identifiers_are_not_unique() {
+        let mut g = Graph::new();
+        for id in [10, 20, 10] {
+            g.add_node(Identifier::new(id));
+        }
+        assert!(!g.has_unique_identifiers());
+        let err = g.set_all_identifiers(&[1, 2, 2].map(Identifier::new));
+        assert!(err.is_err());
+        assert!(!g.has_unique_identifiers());
+        g.set_all_identifiers(&[1, 2, 3].map(Identifier::new)).unwrap();
+        assert!(g.has_unique_identifiers());
     }
 
     #[test]

@@ -316,15 +316,6 @@ impl<'g> BallGrower<'g> {
         &self.ids[start..end.min(self.published)]
     }
 
-    /// Returns `true` when host node `v` lies inside the published ball.
-    #[must_use]
-    pub fn contains_host(&self, v: NodeId) -> bool {
-        let v = v.index();
-        v < self.stamp.len()
-            && self.stamp[v] == self.epoch
-            && (self.pos[v] as usize) < self.published
-    }
-
     /// Materialises the published ball as a standalone [`Ball`], identical
     /// (including field-for-field equality) to
     /// [`crate::extract_ball`]`(graph, center, radius)`.
@@ -452,18 +443,6 @@ mod tests {
         assert_eq!(total, grower.node_count());
         assert_eq!(grower.ring_identifiers(0), &[g.identifier(NodeId::new(5))]);
         assert!(grower.ring_identifiers(7).is_empty());
-    }
-
-    #[test]
-    fn contains_host_tracks_membership() {
-        let g = generators::path(6).unwrap();
-        let csr = g.freeze();
-        let mut grower = BallGrower::new(&csr, NodeId::new(2));
-        grower.grow();
-        assert!(grower.contains_host(NodeId::new(1)));
-        assert!(grower.contains_host(NodeId::new(3)));
-        assert!(!grower.contains_host(NodeId::new(4)));
-        assert!(!grower.contains_host(NodeId::new(99)));
     }
 
     #[test]

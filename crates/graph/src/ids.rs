@@ -104,30 +104,6 @@ impl Identifier {
         assert!(i < 64, "bit index out of range");
         (self.0 >> i) & 1
     }
-
-    /// Number of bits needed to write the identifier (at least 1).
-    #[must_use]
-    pub const fn bit_length(self) -> u32 {
-        if self.0 == 0 {
-            1
-        } else {
-            64 - self.0.leading_zeros()
-        }
-    }
-
-    /// Index of the lowest bit in which `self` and `other` differ, if any.
-    ///
-    /// Returns `None` when the identifiers are equal. This is the elementary
-    /// step of the Cole–Vishkin deterministic coin tossing technique.
-    #[must_use]
-    pub const fn lowest_differing_bit(self, other: Identifier) -> Option<u32> {
-        let x = self.0 ^ other.0;
-        if x == 0 {
-            None
-        } else {
-            Some(x.trailing_zeros())
-        }
-    }
 }
 
 impl From<u64> for Identifier {
@@ -222,25 +198,6 @@ mod tests {
         assert_eq!(id.bit(2), 0);
         assert_eq!(id.bit(3), 1);
         assert_eq!(id.bit(10), 0);
-    }
-
-    #[test]
-    fn identifier_bit_length() {
-        assert_eq!(Identifier::new(0).bit_length(), 1);
-        assert_eq!(Identifier::new(1).bit_length(), 1);
-        assert_eq!(Identifier::new(2).bit_length(), 2);
-        assert_eq!(Identifier::new(255).bit_length(), 8);
-        assert_eq!(Identifier::new(256).bit_length(), 9);
-        assert_eq!(Identifier::new(u64::MAX).bit_length(), 64);
-    }
-
-    #[test]
-    fn lowest_differing_bit_identifies_first_difference() {
-        let a = Identifier::new(0b1010);
-        let b = Identifier::new(0b1000);
-        assert_eq!(a.lowest_differing_bit(b), Some(1));
-        assert_eq!(b.lowest_differing_bit(a), Some(1));
-        assert_eq!(a.lowest_differing_bit(a), None);
     }
 
     #[test]

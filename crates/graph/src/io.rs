@@ -1,47 +1,14 @@
-//! Plain-text graph interchange: DOT export and an edge-list format.
+//! Plain-text graph interchange: an edge-list format.
 //!
 //! Experiments occasionally need to hand an instance (topology + identifier
 //! assignment) to external tooling, or to reload a previously saved worst-case
-//! instance. Two formats are supported:
-//!
-//! * **DOT** (Graphviz) export, for visualising small instances;
-//! * a line-oriented **edge-list** format that round-trips through
-//!   [`to_edge_list`] / [`from_edge_list`]: one `node <id>` line per node (in
-//!   node order, so identifier assignments are preserved) followed by one
-//!   `edge <id> <id>` line per undirected edge.
+//! instance. The line-oriented **edge-list** format round-trips through
+//! [`to_edge_list`] / [`from_edge_list`]: one `node <id>` line per node (in
+//! node order, so identifier assignments are preserved) followed by one
+//! `edge <id> <id>` line per undirected edge.
 
 use crate::error::{GraphError, Result};
 use crate::{Graph, GraphBuilder};
-
-/// Renders the graph in Graphviz DOT syntax (undirected, identifiers as
-/// labels).
-///
-/// # Examples
-///
-/// ```
-/// use avglocal_graph::{generators, io};
-///
-/// # fn main() -> Result<(), avglocal_graph::GraphError> {
-/// let g = generators::cycle(3)?;
-/// let dot = io::to_dot(&g, "triangle");
-/// assert!(dot.starts_with("graph triangle {"));
-/// assert!(dot.contains("v0 -- v1"));
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn to_dot(graph: &Graph, name: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("graph {name} {{\n"));
-    for v in graph.nodes() {
-        out.push_str(&format!("    v{} [label=\"{}\"];\n", v.index(), graph.identifier(v)));
-    }
-    for (u, v) in graph.edges() {
-        out.push_str(&format!("    v{} -- v{};\n", u.index(), v.index()));
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Serialises the graph in the edge-list format described in the module
 /// documentation.
@@ -126,16 +93,6 @@ pub fn from_edge_list(text: &str) -> Result<Graph> {
 mod tests {
     use super::*;
     use crate::{generators, IdAssignment};
-
-    #[test]
-    fn dot_output_contains_nodes_and_edges() {
-        let g = generators::cycle(4).unwrap();
-        let dot = to_dot(&g, "ring");
-        assert!(dot.starts_with("graph ring {"));
-        assert!(dot.ends_with("}\n"));
-        assert_eq!(dot.matches(" -- ").count(), 4);
-        assert_eq!(dot.matches("label=").count(), 4);
-    }
 
     #[test]
     fn edge_list_round_trip_preserves_structure_and_identifiers() {

@@ -74,7 +74,7 @@ pub use error::{GraphError, Result};
 pub use graph::Graph;
 pub use grower::{BallGrower, GrowerScratch};
 pub use ids::{Identifier, NodeId};
-pub use metrics::{degree_histogram, summarize, GraphSummary};
+pub use metrics::{summarize, GraphSummary};
 pub use permutation::Permutation;
 pub use ports::PortNumbering;
 pub use topology::{derive_seed, Topology};

@@ -47,21 +47,6 @@ pub fn summarize(graph: &Graph) -> GraphSummary {
     }
 }
 
-/// Histogram of node degrees: `result[d]` is the number of nodes of degree
-/// `d`. The vector is long enough to cover the maximum degree.
-#[must_use]
-pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-    let max = graph.max_degree().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in graph.nodes() {
-        hist[graph.degree(v)] += 1;
-    }
-    if graph.is_empty() {
-        hist.clear();
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,23 +79,5 @@ mod tests {
         assert_eq!(s.average_degree, 0.0);
         assert!(s.connected);
         assert_eq!(s.diameter, None);
-        assert!(degree_histogram(&Graph::new()).is_empty());
-    }
-
-    #[test]
-    fn star_degree_histogram() {
-        let g = generators::star(6).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 5);
-        assert_eq!(h[5], 1);
-        assert_eq!(h.iter().sum::<usize>(), 6);
-    }
-
-    #[test]
-    fn path_degree_histogram() {
-        let g = generators::path(5).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 2);
-        assert_eq!(h[2], 3);
     }
 }

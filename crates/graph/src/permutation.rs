@@ -163,12 +163,6 @@ impl Permutation {
         self.map.swap(i, j);
     }
 
-    /// Number of fixed points (`i` with `get(i) == i`).
-    #[must_use]
-    pub fn fixed_points(&self) -> usize {
-        self.map.iter().enumerate().filter(|(i, &x)| *i == x).count()
-    }
-
     /// Enumerates every permutation of `0..n` (in lexicographic order of their
     /// image vectors). Intended for exhaustive adversarial search with small
     /// `n`; `n` is capped at 10.
@@ -232,11 +226,9 @@ mod tests {
     fn identity_and_reversal() {
         let id = Permutation::identity(5);
         assert!(id.is_identity());
-        assert_eq!(id.fixed_points(), 5);
         let rev = Permutation::reversal(5);
         assert_eq!(rev.get(0), 4);
         assert_eq!(rev.get(4), 0);
-        assert_eq!(rev.fixed_points(), 1);
         assert!(rev.compose(&rev).is_identity());
     }
 
@@ -275,7 +267,6 @@ mod tests {
         let mut p = Permutation::identity(4);
         p.swap(0, 3);
         assert_eq!(p.as_slice(), &[3, 1, 2, 0]);
-        assert_eq!(p.fixed_points(), 2);
     }
 
     #[test]

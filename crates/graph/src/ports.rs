@@ -81,8 +81,7 @@ impl PortNumbering {
     }
 
     /// The port of `node` that leads to `neighbor`, if they are adjacent.
-    #[must_use]
-    pub fn port_to(&self, node: NodeId, neighbor: NodeId) -> Option<usize> {
+    fn port_to(&self, node: NodeId, neighbor: NodeId) -> Option<usize> {
         self.ports.get(node.index()).and_then(|p| p.iter().position(|&v| v == neighbor))
     }
 

@@ -39,8 +39,7 @@ impl BfsResult {
     }
 
     /// Nodes in the order they were discovered (the source comes first).
-    #[must_use]
-    pub fn visit_order(&self) -> &[NodeId] {
+    fn visit_order(&self) -> &[NodeId] {
         &self.order
     }
 
@@ -52,25 +51,8 @@ impl BfsResult {
     }
 
     /// Number of nodes reachable from the source (including the source).
-    #[must_use]
-    pub fn reachable_count(&self) -> usize {
+    fn reachable_count(&self) -> usize {
         self.distances.iter().flatten().count()
-    }
-
-    /// Reconstructs a shortest path from the source to `target`, inclusive.
-    ///
-    /// Returns `None` when `target` is unreachable.
-    #[must_use]
-    pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(target)?;
-        let mut path = vec![target];
-        let mut current = target;
-        while let Some(p) = self.parent(current) {
-            path.push(p);
-            current = p;
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -125,17 +107,6 @@ pub fn diameter(graph: &Graph) -> Option<usize> {
         return None;
     }
     graph.nodes().map(|v| eccentricity(graph, v)).max()
-}
-
-/// Radius of the graph: the smallest eccentricity over all nodes.
-///
-/// Returns `None` for the empty graph or a disconnected graph.
-#[must_use]
-pub fn graph_radius(graph: &Graph) -> Option<usize> {
-    if graph.is_empty() || !is_connected(graph) {
-        return None;
-    }
-    graph.nodes().map(|v| eccentricity(graph, v)).min()
 }
 
 /// Returns `true` when every node is reachable from every other node.
@@ -257,8 +228,9 @@ mod tests {
     fn bfs_path_reconstruction() {
         let g = path4();
         let r = bfs(&g, NodeId::new(0));
-        let p = r.path_to(NodeId::new(3)).unwrap();
-        assert_eq!(p, vec![NodeId::new(0), NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
+        for v in 1..4 {
+            assert_eq!(r.parent(NodeId::new(v)), Some(NodeId::new(v - 1)));
+        }
         assert_eq!(r.parent(NodeId::new(0)), None);
     }
 
@@ -284,7 +256,7 @@ mod tests {
         let b = g.add_node(Identifier::new(1));
         assert_eq!(distance(&g, a, b), None);
         let r = bfs(&g, a);
-        assert_eq!(r.path_to(b), None);
+        assert_eq!(r.parent(b), None);
         assert_eq!(r.reachable_count(), 1);
     }
 
@@ -292,14 +264,14 @@ mod tests {
     fn diameter_and_radius_of_cycle() {
         let g = generators::cycle(8).unwrap();
         assert_eq!(diameter(&g), Some(4));
-        assert_eq!(graph_radius(&g), Some(4));
+        assert_eq!(g.nodes().map(|v| eccentricity(&g, v)).min(), Some(4));
     }
 
     #[test]
     fn diameter_and_radius_of_path() {
         let g = path4();
         assert_eq!(diameter(&g), Some(3));
-        assert_eq!(graph_radius(&g), Some(2));
+        assert_eq!(g.nodes().map(|v| eccentricity(&g, v)).min(), Some(2));
     }
 
     #[test]
@@ -308,7 +280,6 @@ mod tests {
         g.add_node(Identifier::new(0));
         g.add_node(Identifier::new(1));
         assert_eq!(diameter(&g), None);
-        assert_eq!(graph_radius(&g), None);
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl<B> GatherAdapter<B> {
     pub fn new(inner: B) -> Self {
         GatherAdapter { inner }
     }
-
-    /// Returns the wrapped algorithm.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
 }
 
 /// Per-node state of the gather adapter.
@@ -161,12 +156,6 @@ mod tests {
                 assert_eq!(round_run.decision_round(v), Some(ball_run.radius(v)));
             }
         }
-    }
-
-    #[test]
-    fn into_inner_returns_wrapped_algorithm() {
-        let adapter = GatherAdapter::new(NaiveLargestId);
-        let _inner: NaiveLargestId = adapter.into_inner();
     }
 
     #[test]

@@ -54,22 +54,6 @@ impl Trace {
     pub fn total_messages(&self) -> usize {
         self.rounds.iter().map(|r| r.messages).sum()
     }
-
-    /// The first round by which at least `fraction` of the nodes had decided,
-    /// if that ever happened. `fraction` is clamped to `[0, 1]`.
-    #[must_use]
-    pub fn round_when_fraction_decided(&self, total_nodes: usize, fraction: f64) -> Option<usize> {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let threshold = (total_nodes as f64 * fraction).ceil() as usize;
-        let mut decided = 0usize;
-        for r in &self.rounds {
-            decided += r.newly_decided;
-            if decided >= threshold {
-                return Some(r.round);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -94,27 +78,9 @@ mod tests {
     }
 
     #[test]
-    fn fraction_decided() {
-        let t = sample();
-        assert_eq!(t.round_when_fraction_decided(10, 0.2), Some(0));
-        assert_eq!(t.round_when_fraction_decided(10, 0.5), Some(1));
-        assert_eq!(t.round_when_fraction_decided(10, 1.0), Some(2));
-        // Out-of-range fractions are clamped.
-        assert_eq!(t.round_when_fraction_decided(10, 2.0), Some(2));
-    }
-
-    #[test]
-    fn fraction_never_reached() {
-        let mut t = Trace::new();
-        t.push(RoundStats { round: 0, messages: 0, newly_decided: 1, undecided_remaining: 9 });
-        assert_eq!(t.round_when_fraction_decided(10, 0.5), None);
-    }
-
-    #[test]
     fn empty_trace() {
         let t = Trace::new();
         assert!(t.is_empty());
         assert_eq!(t.total_messages(), 0);
-        assert_eq!(t.round_when_fraction_decided(10, 0.0), None);
     }
 }

@@ -240,30 +240,6 @@ impl<'a> LocalView<'a> {
         self.saturated
     }
 
-    /// Distance from the centre of the local node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a node of the view.
-    #[must_use]
-    pub fn distance_of(&self, v: NodeId) -> usize {
-        match &self.backing {
-            Backing::Owned(owned) => owned.distances[v.index()],
-            Backing::Grower { grower, .. } => grower.distance_of_index(v.index()),
-        }
-    }
-
-    /// All identifiers visible in the view, in ascending order.
-    #[must_use]
-    pub fn sorted_identifiers(&self) -> Vec<Identifier> {
-        let mut ids: Vec<Identifier> = match &self.backing {
-            Backing::Owned(owned) => owned.graph.identifiers().collect(),
-            Backing::Grower { grower, .. } => grower.identifiers().to_vec(),
-        };
-        ids.sort_unstable();
-        ids
-    }
-
     /// The largest identifier visible in the view.
     ///
     /// `O(1)` on grower-backed views — the grower maintains the running
@@ -285,18 +261,8 @@ impl<'a> LocalView<'a> {
         self.center_identifier() == self.max_identifier()
     }
 
-    /// Returns `true` when `id` is visible in the view.
-    #[must_use]
-    pub fn contains_identifier(&self, id: Identifier) -> bool {
-        match &self.backing {
-            Backing::Owned(owned) => owned.graph.node_by_identifier(id).is_some(),
-            Backing::Grower { grower, .. } => grower.identifiers().contains(&id),
-        }
-    }
-
     /// Identifiers of the nodes at exactly distance `d` from the centre.
-    #[must_use]
-    pub fn identifiers_at_distance(&self, d: usize) -> Vec<Identifier> {
+    fn identifiers_at_distance(&self, d: usize) -> Vec<Identifier> {
         let mut ids: Vec<Identifier> = match &self.backing {
             Backing::Owned(owned) => owned
                 .graph
@@ -308,34 +274,6 @@ impl<'a> LocalView<'a> {
         };
         ids.sort_unstable();
         ids
-    }
-
-    /// Walks away from the centre along one of its incident edges without
-    /// backtracking and returns the identifiers encountered, in order of
-    /// increasing distance.
-    ///
-    /// `direction` indexes the centre's neighbours in port order. The walk is
-    /// only defined when the nodes traversed have degree at most 2 (paths and
-    /// cycles), which is the paper's setting; it stops at the edge of the
-    /// view, at an endpoint, or when it wraps back to the centre.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `direction >= self.center_degree()` or if the walk reaches a
-    /// node of degree greater than 2.
-    #[must_use]
-    pub fn arm_identifiers(&self, direction: usize) -> Vec<Identifier> {
-        let owned = self.owned();
-        let first = owned.graph.neighbors(owned.center)[direction];
-        avglocal_graph::arm(
-            &owned.graph,
-            owned.center,
-            first,
-            self.radius.max(owned.graph.node_count()),
-        )
-        .into_iter()
-        .map(|v| owned.graph.identifier(v))
-        .collect()
     }
 
     /// A canonical fingerprint of the view: (centre id, radius, saturation,
@@ -376,7 +314,6 @@ mod tests {
         assert_eq!(v.center_identifier(), Identifier::new(0));
         assert_eq!(v.center_degree(), 2);
         assert!(!v.is_saturated());
-        assert_eq!(v.distance_of(v.center()), 0);
     }
 
     #[test]
@@ -394,8 +331,6 @@ mod tests {
         // Node 0 carries identifier 7, the global maximum.
         assert!(view.center_has_max_identifier());
         assert_eq!(view.max_identifier(), Identifier::new(7));
-        assert!(view.contains_identifier(Identifier::new(6)));
-        assert!(!view.contains_identifier(Identifier::new(3)));
     }
 
     #[test]
@@ -405,20 +340,6 @@ mod tests {
         assert_eq!(v.identifiers_at_distance(1), vec![Identifier::new(3), Identifier::new(5)]);
         assert_eq!(v.identifiers_at_distance(2), vec![Identifier::new(2), Identifier::new(6)]);
         assert!(v.identifiers_at_distance(3).is_empty());
-    }
-
-    #[test]
-    fn arms_walk_both_directions() {
-        let v = ring_view(12, 4, 3);
-        let a = v.arm_identifiers(0);
-        let b = v.arm_identifiers(1);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 3);
-        // The two arms are disjoint and together cover every non-centre node.
-        let mut all: Vec<Identifier> = a.iter().chain(b.iter()).copied().collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 6);
     }
 
     #[test]
@@ -464,27 +385,10 @@ mod tests {
                 assert_eq!(lazy.center_degree(), eager.center_degree());
                 assert_eq!(lazy.max_identifier(), eager.max_identifier());
                 assert_eq!(lazy.center(), eager.center());
-                assert_eq!(lazy.sorted_identifiers(), eager.sorted_identifiers());
                 // Materialisation on demand agrees too.
                 assert_eq!(lazy.graph(), eager.graph());
-                for v in lazy.graph().nodes() {
-                    assert_eq!(lazy.distance_of(v), eager.distance_of(v));
-                }
             }
         }
-    }
-
-    #[test]
-    fn grower_backed_arm_walks() {
-        let g = generators::cycle(9).unwrap();
-        let csr = g.freeze();
-        let mut grower = avglocal_graph::BallGrower::new(&csr, NodeId::new(4));
-        grower.grow();
-        grower.grow();
-        let lazy = LocalView::from_grower(&grower);
-        let eager = LocalView::from_ball(&extract_ball(&g, NodeId::new(4), 2));
-        assert_eq!(lazy.arm_identifiers(0), eager.arm_identifiers(0));
-        assert_eq!(lazy.arm_identifiers(1), eager.arm_identifiers(1));
     }
 
     #[test]
@@ -498,14 +402,6 @@ mod tests {
         let view = LocalView::from_records(Identifier::new(2), &records, 2);
         assert!(view.is_saturated());
         assert_eq!(view.node_count(), 5);
-    }
-
-    #[test]
-    fn sorted_identifiers_are_sorted() {
-        let v = ring_view(10, 5, 2);
-        let ids = v.sorted_identifiers();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(ids.len(), 5);
     }
 
     #[test]

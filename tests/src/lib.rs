@@ -54,6 +54,7 @@ pub mod fuzz {
             Err(GraphError::SelfLoop { .. }) => "self loop",
             Err(GraphError::DuplicateEdge { .. }) => "duplicate edge",
             Err(GraphError::DuplicateIdentifier { .. }) => "duplicate identifier",
+            Err(GraphError::AssignmentLengthMismatch { .. }) => "length mismatch",
             Err(GraphError::InvalidGeneratorParameter { .. }) => "invalid parameter",
             Err(_) => "other",
         }
@@ -103,11 +104,17 @@ pub mod fuzz {
             "ok"
         }
 
-        fn set_identifier(&mut self, node: usize, identifier: u64) -> &'static str {
-            if node >= self.len() {
-                return "node out of bounds";
+        /// Predicts `Graph::set_all_identifiers`: the length is checked
+        /// first, then duplicates; a rejected call changes nothing.
+        fn set_all_identifiers(&mut self, identifiers: &[u64]) -> &'static str {
+            if identifiers.len() != self.len() {
+                return "length mismatch";
             }
-            self.identifiers[node] = identifier;
+            let mut seen = HashSet::new();
+            if !identifiers.iter().all(|id| seen.insert(*id)) {
+                return "duplicate identifier";
+            }
+            self.identifiers = identifiers.to_vec();
             "ok"
         }
 
@@ -140,9 +147,17 @@ pub mod fuzz {
         }
     }
 
-    /// Freezes the real graph and checks every observable against the model,
-    /// then round-trips the snapshot through the untrusted-input codec.
+    /// Checks the identifier index against the model, freezes the real graph
+    /// and checks every observable against the model, then round-trips the
+    /// snapshot through the untrusted-input codec.
     fn check_frozen(graph: &Graph, model: &Model) -> Result<(), String> {
+        // The index maps every identifier to the lowest-index node carrying
+        // it (the first-node-wins rule of `Graph::add_node`).
+        for id in 0..64 {
+            let want = model.identifiers.iter().position(|&x| x == id).map(NodeId::new);
+            let got = graph.node_by_identifier(Identifier::new(id));
+            ensure(got == want, || format!("node_by_identifier({id}): real {got:?} vs {want:?}"))?;
+        }
         let csr = graph.freeze();
         ensure(csr.node_count() == model.len(), || "node count diverged".to_string())?;
         ensure(csr.edge_count() == model.edges.len(), || "edge count diverged".to_string())?;
@@ -209,13 +224,27 @@ pub mod fuzz {
                         format!("add_edge({a}, {b}): real {} vs model {want}", classify(&got))
                     })?;
                 }
+                // Bulk identifier rewrites: one time in eight the length is
+                // off by one; half draw every identifier afresh, so
+                // duplicates occur, and half take a rotation of the
+                // alphabet, distinct up to 64 nodes.
                 6 => {
-                    let node = u.choose_index(model.len() + 1);
-                    let identifier = u.int_in_range(0..64);
-                    let got = graph.set_identifier(NodeId::new(node), Identifier::new(identifier));
-                    let want = model.set_identifier(node, identifier);
+                    let len = if u.ratio(1, 8) { model.len() + 1 } else { model.len() };
+                    let identifiers: Vec<u64> = if u.ratio(1, 2) {
+                        (0..len).map(|_| u64::from(u.byte() % 64)).collect()
+                    } else {
+                        let start = u64::from(u.byte() % 64);
+                        (0..len as u64).map(|i| (start + i) % 64).collect()
+                    };
+                    let ids: Vec<Identifier> =
+                        identifiers.iter().map(|&x| Identifier::new(x)).collect();
+                    let got = graph.set_all_identifiers(&ids);
+                    let want = model.set_all_identifiers(&identifiers);
                     ensure(classify(&got) == want, || {
-                        format!("set_identifier({node}): real {} vs model {want}", classify(&got))
+                        format!(
+                            "set_all_identifiers({identifiers:?}): real {} vs model {want}",
+                            classify(&got)
+                        )
                     })?;
                 }
                 _ => check_frozen(&graph, &model)?,

@@ -1,7 +1,7 @@
 //! Model-based fuzzing of the graph construction surface.
 //!
 //! Byte buffers are decoded (totally, via the `proptest::arbitrary` shim)
-//! into command programs — add-node / add-edge / set-identifier / freeze
+//! into command programs — add-node / add-edge / set-all-identifiers / freeze
 //! interleavings, including deliberately out-of-bounds and duplicate
 //! arguments — and executed in lockstep against both the real
 //! `Graph`/`CsrGraph` stack and a deliberately naive adjacency-map model.
