@@ -4,7 +4,7 @@
 //! The build environment has no access to a crate registry, so the workspace
 //! vendors the data-parallel surface its executors need:
 //! `into_par_iter().map(..).collect()` / [`ParallelIterator::map_init`] over
-//! ranges and vectors, plus [`join`].
+//! index ranges.
 //!
 //! Unlike the first-generation shim — which spawned fresh
 //! `std::thread::scope` threads on every call and split the input into
@@ -33,7 +33,6 @@ pub mod failpoints;
 pub mod pool;
 mod sync;
 
-use std::mem::ManuallyDrop;
 use std::ops::Range;
 
 /// The traits to import to use parallel iterators.
@@ -103,18 +102,6 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// Runs the two closures, in parallel when a pool worker is free to take the
-/// second one, and returns both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    pool::join(a, b)
-}
-
 /// Conversion into a parallel iterator.
 pub trait IntoParallelIterator {
     /// The type of the items.
@@ -163,93 +150,9 @@ pub trait ParallelIterator: Sized {
         MapInit { base: self, init, f }
     }
 
-    /// Executes the pipeline and returns the items in input order.
-    fn drive(self) -> Vec<Self::Item> {
-        self.apply_with_state(|| (), |_, item| item)
-    }
-
-    /// Executes the pipeline and collects the items.
+    /// Executes the pipeline and collects the items in input order.
     fn collect<C: FromIterator<Self::Item>>(self) -> C {
-        self.drive().into_iter().collect()
-    }
-
-    /// Executes the pipeline for its effects.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync,
-    {
-        let _: Vec<()> = self.apply_with_state(|| (), |_, item| f(item));
-    }
-}
-
-/// Shareable raw base pointer of a vector whose items are claimed by index.
-struct ItemsPtr<T>(*const T);
-
-impl<T> ItemsPtr<T> {
-    /// The base pointer; a method (rather than field access) so closures
-    /// capture the `Sync` wrapper, not the raw pointer.
-    fn base(&self) -> *const T {
-        self.0
-    }
-}
-
-// SAFETY: the pointer is only dereferenced through the claim-by-index
-// protocol (each index exactly once) on `T: Send` items.
-unsafe impl<T: Send> Send for ItemsPtr<T> {}
-unsafe impl<T: Send> Sync for ItemsPtr<T> {}
-
-/// Frees a vector's buffer on drop without dropping any elements; used so a
-/// panicking pipeline cannot double-drop items that were moved out by index.
-struct RawBuffer<T> {
-    ptr: *mut T,
-    capacity: usize,
-}
-
-impl<T> Drop for RawBuffer<T> {
-    fn drop(&mut self) {
-        // SAFETY: constructed from a live Vec's parts; length 0 means no
-        // element destructor runs (consumed items were moved out; on a
-        // panic, unconsumed ones are deliberately leaked).
-        drop(unsafe { Vec::from_raw_parts(self.ptr, 0, self.capacity) });
-    }
-}
-
-/// Parallel iterator over an already-materialised list of items.
-#[derive(Debug)]
-pub struct VecIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for VecIter<T> {
-    type Item = T;
-
-    fn apply_with_state<S, R, G, F>(self, init: G, f: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        G: Fn() -> S + Sync,
-        F: Fn(&mut S, T) -> R + Sync,
-    {
-        let len = self.items.len();
-        let mut items = ManuallyDrop::new(self.items);
-        let buffer = RawBuffer { ptr: items.as_mut_ptr(), capacity: items.capacity() };
-        let base = ItemsPtr(buffer.ptr.cast_const());
-        let results = pool::run_chunked(len, init, |state, index| {
-            // SAFETY: the chunk cursor hands out every index exactly once,
-            // so each item is moved out exactly once.
-            let item = unsafe { std::ptr::read(base.base().add(index)) };
-            f(state, item)
-        });
-        drop(buffer);
-        results
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecIter<T>;
-    fn into_par_iter(self) -> VecIter<T> {
-        VecIter { items: self }
+        self.apply_with_state(|| (), |_, item| item).into_iter().collect()
     }
 }
 
@@ -353,7 +256,6 @@ where
 mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn map_collect_preserves_order() {
@@ -364,26 +266,12 @@ mod tests {
 
     #[test]
     fn vec_source_and_chained_maps() {
+        // A vector is read through a range of its indices, the way the
+        // executors index their node lists.
         let v: Vec<i64> = vec![3, 1, 2];
-        let out: Vec<i64> = v.into_par_iter().map(|x| x * 10).map(|x| x + 1).collect();
+        let out: Vec<i64> =
+            (0..v.len()).into_par_iter().map(|i| v[i] * 10).map(|x| x + 1).collect();
         assert_eq!(out, vec![31, 11, 21]);
-    }
-
-    #[test]
-    fn vec_source_moves_every_item_exactly_once() {
-        // Non-Copy items with a drop counter: every item must be consumed by
-        // the pipeline exactly once and dropped exactly once.
-        struct Tracked(Arc<AtomicUsize>);
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let drops = Arc::new(AtomicUsize::new(0));
-        let items: Vec<Tracked> = (0..500).map(|_| Tracked(Arc::clone(&drops))).collect();
-        let consumed: Vec<usize> = items.into_par_iter().map(drop).map(|()| 1).collect();
-        assert_eq!(consumed.len(), 500);
-        assert_eq!(drops.load(Ordering::Relaxed), 500);
     }
 
     #[test]
@@ -433,24 +321,6 @@ mod tests {
             .map(|i| (0..100).into_par_iter().map(move |j| i + j).collect::<Vec<_>>().len())
             .collect();
         assert!(totals.iter().all(|&t| t == 100));
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
-
-    #[test]
-    fn join_propagates_panics_from_the_right_side() {
-        let attempt = std::panic::catch_unwind(|| {
-            super::join(|| 1, || -> usize { panic!("right side boom") });
-        });
-        assert!(attempt.is_err());
-        // The pool still works afterwards.
-        let (a, b) = super::join(|| 5, || 6);
-        assert_eq!((a, b), (5, 6));
     }
 
     #[test]
@@ -524,19 +394,10 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<usize> = Vec::<usize>::new().into_par_iter().map(|x| x).collect();
+        let empty: Vec<usize> = (0..0).into_par_iter().map(|x| x).collect();
         assert!(empty.is_empty());
-        let one: Vec<usize> = vec![5].into_par_iter().map(|x| x * 2).collect();
+        let one: Vec<usize> = (5..6).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(one, vec![10]);
-    }
-
-    #[test]
-    fn for_each_visits_every_item() {
-        let count = AtomicUsize::new(0);
-        (0..333).into_par_iter().for_each(|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 333);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 #[cfg(not(avg_local_loom))]
 mod imp {
-    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicUsize, Ordering};
     pub use std::sync::{Condvar, Mutex};
 
     /// `std` twin of loom's closure-based cell.
@@ -49,7 +49,7 @@ mod imp {
 #[cfg(avg_local_loom)]
 mod imp {
     pub use loom::cell::UnsafeCell;
-    pub use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    pub use loom::sync::atomic::{AtomicUsize, Ordering};
     pub use loom::sync::{Condvar, Mutex};
 }
 

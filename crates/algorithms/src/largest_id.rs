@@ -59,19 +59,6 @@ impl BallAlgorithm for LargestId {
     }
 }
 
-/// Checks that the outputs of a largest-ID execution are correct for `graph`:
-/// exactly the node with the maximum identifier answered `true`.
-#[must_use]
-pub fn verify_largest_id(graph: &Graph, outputs: &[bool]) -> bool {
-    if outputs.len() != graph.node_count() {
-        return false;
-    }
-    let Some(winner) = graph.max_identifier_node() else {
-        return outputs.is_empty();
-    };
-    graph.nodes().all(|v| outputs[v.index()] == (v == winner))
-}
-
 /// The exact radius the paper predicts for each node of a **cycle**, given
 /// the identifier arrangement: the distance to the nearest node with a larger
 /// identifier, or `⌊n/2⌋` for the maximum (it must see the whole cycle).
@@ -114,6 +101,7 @@ pub fn predicted_cycle_radii(graph: &Graph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::is_correct_largest_id;
     use avglocal_graph::{generators, IdAssignment, Identifier, NodeId};
     use avglocal_runtime::FrozenExecutor;
 
@@ -127,7 +115,7 @@ mod tests {
     fn exactly_one_winner() {
         let g = ring(21, IdAssignment::Shuffled { seed: 77 });
         let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
-        assert!(verify_largest_id(&g, run.outputs()));
+        assert!(is_correct_largest_id(&g, run.outputs()));
         assert_eq!(run.outputs().iter().filter(|&&b| b).count(), 1);
     }
 
@@ -166,25 +154,25 @@ mod tests {
         let mut g = generators::path(10).unwrap();
         IdAssignment::Shuffled { seed: 4 }.apply(&mut g).unwrap();
         let run = FrozenExecutor::new(&g).run(&LargestId, Knowledge::none()).unwrap();
-        assert!(verify_largest_id(&g, run.outputs()));
+        assert!(is_correct_largest_id(&g, run.outputs()));
 
         let mut t = generators::balanced_tree(2, 4).unwrap();
         IdAssignment::Shuffled { seed: 8 }.apply(&mut t).unwrap();
         let run = FrozenExecutor::new(&t).run(&LargestId, Knowledge::none()).unwrap();
-        assert!(verify_largest_id(&t, run.outputs()));
+        assert!(is_correct_largest_id(&t, run.outputs()));
     }
 
     #[test]
     fn verify_rejects_wrong_outputs() {
         let g = ring(9, IdAssignment::Identity);
         let mut outputs = vec![false; 9];
-        assert!(!verify_largest_id(&g, &outputs)); // nobody claims leadership
+        assert!(!is_correct_largest_id(&g, &outputs)); // nobody claims leadership
         outputs[0] = true;
-        assert!(!verify_largest_id(&g, &outputs)); // wrong node
+        assert!(!is_correct_largest_id(&g, &outputs)); // wrong node
         let mut correct = vec![false; 9];
         correct[8] = true;
-        assert!(verify_largest_id(&g, &correct));
-        assert!(!verify_largest_id(&g, &correct[..5])); // wrong length
+        assert!(is_correct_largest_id(&g, &correct));
+        assert!(!is_correct_largest_id(&g, &correct[..5])); // wrong length
     }
 
     #[test]

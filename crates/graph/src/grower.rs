@@ -293,17 +293,6 @@ impl<'g> BallGrower<'g> {
         &self.members[..self.published]
     }
 
-    /// Distance from the centre of the member at BFS position `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the published ball.
-    #[must_use]
-    pub fn distance_of_index(&self, index: usize) -> usize {
-        assert!(index < self.published, "index outside the published ball");
-        self.dists[index] as usize
-    }
-
     /// Identifiers of the members at exactly distance `d`, in discovery
     /// order. Empty for distances beyond the published radius.
     #[must_use]
@@ -499,9 +488,6 @@ mod tests {
                 let mut fresh = BallGrower::new(&csr, NodeId::new(center));
                 loop {
                     assert_eq!(reused.members(), fresh.members(), "centre {center}");
-                    for i in 0..fresh.node_count() {
-                        assert_eq!(reused.distance_of_index(i), fresh.distance_of_index(i));
-                    }
                     assert_eq!(reused.is_saturated(), fresh.is_saturated());
                     assert_eq!(reused.snapshot_ball(), fresh.snapshot_ball());
                     if fresh.is_saturated() {

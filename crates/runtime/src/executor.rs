@@ -6,7 +6,6 @@ use crate::algorithm::{NodeContext, RoundAlgorithm};
 use crate::error::{Result, RuntimeError};
 use crate::knowledge::Knowledge;
 use crate::message::Envelope;
-use crate::trace::{RoundStats, Trace};
 
 /// The result of a round-based execution.
 ///
@@ -19,7 +18,6 @@ pub struct Execution<O> {
     decision_rounds: Vec<Option<usize>>,
     rounds_executed: usize,
     messages_sent: usize,
-    trace: Trace,
 }
 
 impl<O: Clone> Execution<O> {
@@ -79,12 +77,6 @@ impl<O: Clone> Execution<O> {
     #[must_use]
     pub fn messages_sent(&self) -> usize {
         self.messages_sent
-    }
-
-    /// The per-round trace of the execution.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 }
 
@@ -153,26 +145,18 @@ impl SyncExecutor {
         let mut states: Vec<A::State> = contexts.iter().map(|c| algorithm.init(c)).collect();
         let mut outputs: Vec<Option<A::Output>> = vec![None; n];
         let mut decision_rounds: Vec<Option<usize>> = vec![None; n];
-        let mut trace = Trace::new();
         let mut messages_sent = 0usize;
 
         // Round 0: decisions that need no communication at all.
-        let mut newly_decided = 0usize;
+        let mut undecided = n;
         for v in graph.nodes() {
             let i = v.index();
             if let Some(out) = algorithm.decide_initial(&mut states[i], &contexts[i]) {
                 outputs[i] = Some(out);
                 decision_rounds[i] = Some(0);
-                newly_decided += 1;
+                undecided -= 1;
             }
         }
-        let mut undecided = n - newly_decided;
-        trace.push(RoundStats {
-            round: 0,
-            messages: 0,
-            newly_decided,
-            undecided_remaining: undecided,
-        });
 
         let limit = 4 * n + 64;
         let mut round = 0usize;
@@ -187,7 +171,6 @@ impl SyncExecutor {
 
             // Send phase: collect every node's outgoing envelopes.
             let mut inboxes: Vec<Vec<Envelope<A::Message>>> = (0..n).map(|_| Vec::new()).collect();
-            let mut round_messages = 0usize;
             for v in graph.nodes() {
                 let i = v.index();
                 for env in algorithm.send(&states[i], &contexts[i]) {
@@ -198,13 +181,11 @@ impl SyncExecutor {
                         .reverse_port(v, env.port)
                         .expect("port numbering is symmetric for undirected graphs");
                     inboxes[target.index()].push(Envelope::new(incoming_port, env.payload));
-                    round_messages += 1;
+                    messages_sent += 1;
                 }
             }
-            messages_sent += round_messages;
 
             // Receive phase.
-            let mut newly_decided = 0usize;
             for v in graph.nodes() {
                 let i = v.index();
                 let decision = algorithm.receive(&mut states[i], &contexts[i], &inboxes[i]);
@@ -212,20 +193,13 @@ impl SyncExecutor {
                     if let Some(out) = decision {
                         outputs[i] = Some(out);
                         decision_rounds[i] = Some(round);
-                        newly_decided += 1;
+                        undecided -= 1;
                     }
                 }
             }
-            undecided -= newly_decided;
-            trace.push(RoundStats {
-                round,
-                messages: round_messages,
-                newly_decided,
-                undecided_remaining: undecided,
-            });
         }
 
-        Ok(Execution { outputs, decision_rounds, rounds_executed: round, messages_sent, trace })
+        Ok(Execution { outputs, decision_rounds, rounds_executed: round, messages_sent })
     }
 }
 
@@ -246,7 +220,6 @@ mod tests {
         assert!(run.decision_rounds().iter().all(|&r| r == 1));
         // 8 nodes broadcast on 2 ports for one round.
         assert_eq!(run.messages_sent(), 16);
-        assert_eq!(run.trace().total_messages(), 16);
     }
 
     #[test]
@@ -278,16 +251,5 @@ mod tests {
         assert_eq!(run.decision_round(NodeId::new(2)), Some(1));
         assert_eq!(run.output(NodeId::new(99)), None);
         assert_eq!(run.decision_round(NodeId::new(99)), None);
-    }
-
-    #[test]
-    fn trace_records_round_progress() {
-        let g = generators::cycle(5).unwrap();
-        let run = SyncExecutor::new().run(&g, &CountNeighbors, Knowledge::none()).unwrap();
-        let trace = run.trace();
-        assert_eq!(trace.len(), 2); // round 0 pass + round 1
-        assert_eq!(trace.rounds()[0].newly_decided, 0);
-        assert_eq!(trace.rounds()[1].newly_decided, 5);
-        assert_eq!(trace.rounds()[1].undecided_remaining, 0);
     }
 }

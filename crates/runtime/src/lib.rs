@@ -72,7 +72,6 @@ mod frozen;
 mod knowledge;
 mod message;
 mod scratch;
-mod trace;
 mod view;
 
 pub use adapter::{GatherAdapter, GatherState, Record};
@@ -82,7 +81,6 @@ pub use executor::{Execution, SyncExecutor};
 pub use frozen::{BallExecution, FrozenExecutor, NodeBatchOptions, ProbeOptions};
 pub use knowledge::Knowledge;
 pub use message::{broadcast, Envelope};
-pub use trace::{RoundStats, Trace};
 pub use view::LocalView;
 
 #[cfg(test)]

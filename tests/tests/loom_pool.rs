@@ -17,9 +17,6 @@
 //!   written exactly once, and each write happens-before the caller's read
 //!   (the model-side `collect_outputs` reads every slot through the
 //!   instrumented cell);
-//! * the `join` claim handshake (`claimed.swap(AcqRel)`): the right-hand
-//!   closure runs exactly once, and its effects are visible to whichever
-//!   thread consumes the result;
 //! * panic capture: a panicking work item is contained, the pool state
 //!   stays usable, and the propagated payload is the panicking item with
 //!   the smallest index, on every interleaving.
@@ -30,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rayon::pool::{join_on, run_chunked_on, worker_step, Shared};
+use rayon::pool::{run_chunked_on, worker_step, Shared};
 
 /// Silences the default panic hook around `f`: the pool tests below inject
 /// panicking work items whose unwinds are caught by the pool's own
@@ -110,27 +107,6 @@ fn chunk_job_reuses_one_state_per_participant() {
 }
 
 #[test]
-fn join_claim_handshake_runs_b_exactly_once() {
-    loom::model(|| {
-        let shared = Arc::new(Shared::with_threads(2));
-        let b_runs = Arc::new(AtomicUsize::new(0));
-        let worker = spawn_worker(&shared, 1, 1);
-        let b_count = Arc::clone(&b_runs);
-        let (ra, rb) = join_on(
-            &shared,
-            || 41,
-            move || {
-                b_count.fetch_add(1, Ordering::Relaxed);
-                42
-            },
-        );
-        worker.join().unwrap();
-        assert_eq!((ra, rb), (41, 42));
-        assert_eq!(b_runs.load(Ordering::Relaxed), 1);
-    });
-}
-
-#[test]
 fn panicking_item_is_contained_and_pool_survives() {
     quiet_panics(|| {
         loom::model(|| {
@@ -180,43 +156,24 @@ fn smallest_index_panic_wins_on_every_interleaving() {
     });
 }
 
+/// Scheduler-regression canary (see the sibling canaries in
+/// `compat/loom/tests/model.rs`): pins the size of the explored schedule
+/// space for the smallest real pool model, one two-item chunk job with one
+/// model worker. A change to the scheduler, the preemption bounding, or the
+/// pool's operation count shifts this number — update it deliberately,
+/// never to make CI pass.
 #[test]
-fn join_survives_a_panicking_right_hand_side() {
-    quiet_panics(|| {
-        loom::model(|| {
-            let shared = Arc::new(Shared::with_threads(2));
-            let worker = spawn_worker(&shared, 1, 1);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                join_on(&shared, || 1, || -> usize { panic!("b failed") })
-            }));
-            let payload = outcome.expect_err("b always panics");
-            let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert_eq!(message, "b failed");
-            worker.join().unwrap();
-            // The pool state survives the poisoned join.
-            let (ra, rb) = join_on(&shared, || 2, || 3);
-            assert_eq!((ra, rb), (2, 3));
-        });
-    });
-}
-
-/// Scheduler-regression canary (see the satellite list in ISSUE 7 and the
-/// sibling canaries in `compat/loom/tests/model.rs`): pins the size of the
-/// explored schedule space for the smallest real pool model. A change to
-/// the scheduler, the preemption bounding, or the pool's operation count
-/// shifts this number — update it deliberately, never to make CI pass.
-#[test]
-fn exploration_canary_join_handshake() {
+fn exploration_canary_chunk_job() {
     let stats = loom::Builder::default().check(|| {
         let shared = Arc::new(Shared::with_threads(2));
         let worker = spawn_worker(&shared, 1, 1);
-        let (ra, rb) = join_on(&shared, || 1, || 2);
-        assert_eq!((ra, rb), (1, 2));
+        let results = run_chunked_on(&shared, 2, || (), |(), i| i);
+        assert_eq!(results, vec![0, 1]);
         worker.join().unwrap();
     });
-    assert_eq!(stats.iterations, CANARY_JOIN_HANDSHAKE);
+    assert_eq!(stats.iterations, CANARY_CHUNK_JOB);
 }
 
 /// Pinned schedule-space size for the canary model above, at the default
 /// preemption bound of 2.
-const CANARY_JOIN_HANDSHAKE: usize = 76;
+const CANARY_CHUNK_JOB: usize = 187;
