@@ -172,16 +172,6 @@ pub fn cv_iterations_for_bits(bits: u32) -> usize {
     iterations
 }
 
-/// Number of iterations derived from a [`avglocal_runtime::Knowledge`]: uses
-/// the identifier bound when available and the full 64-bit budget otherwise.
-#[must_use]
-pub fn cv_iterations_for_knowledge(knowledge: &avglocal_runtime::Knowledge) -> usize {
-    match knowledge.identifier_bound() {
-        Some(bound) => cv_iterations_for_bits(64 - bound.leading_zeros()),
-        None => cv_iterations_for_bits(64),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,15 +273,5 @@ mod tests {
         // Out-of-range bit counts are clamped.
         assert_eq!(cv_iterations_for_bits(0), 0);
         assert_eq!(cv_iterations_for_bits(100), 4);
-    }
-
-    #[test]
-    fn iterations_from_knowledge() {
-        use avglocal_runtime::Knowledge;
-        assert_eq!(cv_iterations_for_knowledge(&Knowledge::none()), 4);
-        let k = Knowledge::none().and_identifier_bound(255);
-        assert_eq!(cv_iterations_for_knowledge(&k), 3);
-        let k = Knowledge::none().and_identifier_bound(15);
-        assert_eq!(cv_iterations_for_knowledge(&k), 2);
     }
 }

@@ -14,9 +14,9 @@
 //! another radius profile for the average-measure experiments.
 
 use avglocal_graph::Identifier;
-use avglocal_runtime::{broadcast, Envelope, Knowledge, NodeContext, RoundAlgorithm};
+use avglocal_runtime::{broadcast, Envelope, NodeContext, RoundAlgorithm};
 
-use crate::cole_vishkin::{cv_iterations_for_knowledge, RingOrientation};
+use crate::cole_vishkin::{cv_iterations_for_bits, RingOrientation};
 use crate::three_coloring::{ThreeColorRing, ThreeColorState};
 
 /// Messages exchanged by [`MatchingRing`].
@@ -58,8 +58,8 @@ impl MatchingRing {
         MatchingRing { coloring: ThreeColorRing::new(orientation) }
     }
 
-    fn coloring_rounds(knowledge: &Knowledge) -> usize {
-        cv_iterations_for_knowledge(knowledge) + 3
+    fn coloring_rounds() -> usize {
+        cv_iterations_for_bits(64) + 3
     }
 
     fn successor_of(&self, ctx: &NodeContext) -> Identifier {
@@ -110,7 +110,7 @@ impl RoundAlgorithm for MatchingRing {
         ctx: &NodeContext,
         inbox: &[Envelope<Self::Message>],
     ) -> Option<Self::Output> {
-        let coloring_rounds = Self::coloring_rounds(&ctx.knowledge);
+        let coloring_rounds = Self::coloring_rounds();
         if ctx.round <= coloring_rounds {
             let color_inbox: Vec<Envelope<u64>> = inbox
                 .iter()
@@ -172,7 +172,7 @@ mod tests {
     use super::*;
     use crate::verify;
     use avglocal_graph::{generators, Graph, IdAssignment};
-    use avglocal_runtime::{RuntimeError, SyncExecutor};
+    use avglocal_runtime::{Knowledge, RuntimeError, SyncExecutor};
 
     /// Runs [`MatchingRing`] on a cycle and returns, for each node, the index
     /// of its matching partner.

@@ -9,7 +9,7 @@
 
 use avglocal_runtime::{broadcast, Envelope, NodeContext, RoundAlgorithm};
 
-use crate::cole_vishkin::{cv_iterations_for_knowledge, RingOrientation};
+use crate::cole_vishkin::{cv_iterations_for_bits, RingOrientation};
 use crate::three_coloring::{ThreeColorRing, ThreeColorState};
 
 /// Messages exchanged by [`MisRing`]: colours during the colouring phase,
@@ -49,9 +49,9 @@ impl MisRing {
         MisRing { coloring: ThreeColorRing::new(orientation) }
     }
 
-    /// Number of rounds of the colouring phase under `knowledge`.
-    fn coloring_rounds(knowledge: &avglocal_runtime::Knowledge) -> usize {
-        cv_iterations_for_knowledge(knowledge) + 3
+    /// Number of rounds of the colouring phase (64-bit identifiers).
+    fn coloring_rounds() -> usize {
+        cv_iterations_for_bits(64) + 3
     }
 }
 
@@ -91,7 +91,7 @@ impl RoundAlgorithm for MisRing {
         ctx: &NodeContext,
         inbox: &[Envelope<Self::Message>],
     ) -> Option<Self::Output> {
-        let coloring_rounds = Self::coloring_rounds(&ctx.knowledge);
+        let coloring_rounds = Self::coloring_rounds();
         if ctx.round <= coloring_rounds {
             let color_inbox: Vec<Envelope<u64>> = inbox
                 .iter()

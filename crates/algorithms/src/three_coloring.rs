@@ -6,7 +6,7 @@ use avglocal_runtime::{
     broadcast, BallAlgorithm, Envelope, Knowledge, LocalView, NodeContext, RoundAlgorithm,
 };
 
-use crate::cole_vishkin::{cv_iterations_for_knowledge, cv_step, RingOrientation};
+use crate::cole_vishkin::{cv_iterations_for_bits, cv_step, RingOrientation};
 use crate::reduce::free_color;
 
 /// The complete Cole–Vishkin 3-colouring pipeline on an oriented ring, as a
@@ -22,8 +22,8 @@ use crate::reduce::free_color;
 ///
 /// Every node outputs at round `iterations + 3`, so the per-node radius is
 /// `O(log* n)` — the matching upper bound for the paper's Theorem 1. The
-/// algorithm needs no knowledge of `n`; it only uses the identifier-space
-/// bound (via [`Knowledge::identifier_bound`], defaulting to 64-bit).
+/// algorithm needs no knowledge of `n`; it runs the iteration count of
+/// 64-bit identifiers ([`crate::cole_vishkin::cv_iterations_for_bits`]).
 ///
 /// # Examples
 ///
@@ -102,7 +102,7 @@ impl RoundAlgorithm for ThreeColorRing {
         ctx: &NodeContext,
         inbox: &[Envelope<Self::Message>],
     ) -> Option<Self::Output> {
-        let iterations = cv_iterations_for_knowledge(&ctx.knowledge);
+        let iterations = cv_iterations_for_bits(64);
         if ctx.round <= iterations {
             // Cole–Vishkin phase: combine with the successor's colour.
             let successor_color = inbox
@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::verify;
     use avglocal_graph::{generators, IdAssignment};
-    use avglocal_runtime::{FrozenExecutor, SyncExecutor};
+    use avglocal_runtime::FrozenExecutor;
 
     fn ring(n: usize, seed: u64) -> Graph {
         let mut g = generators::cycle(n).unwrap();
@@ -283,18 +283,6 @@ mod tests {
                 assert!(rounds.iter().all(|&r| r == 7), "n={n} rounds={rounds:?}");
             }
         }
-    }
-
-    #[test]
-    fn cole_vishkin_with_identifier_bound_is_faster() {
-        let g = ring(32, 5);
-        let orientation = RingOrientation::trace(&g).unwrap();
-        let algo = ThreeColorRing::new(orientation);
-        let knowledge = Knowledge::none().and_identifier_bound(31);
-        let run = SyncExecutor::new().run(&g, &algo, knowledge).unwrap();
-        assert!(verify::is_proper_coloring(&g, &run.outputs(), 3));
-        // 5-bit identifiers need 3 CV iterations instead of 4.
-        assert!(run.decision_rounds().iter().all(|&r| r == 6));
     }
 
     #[test]

@@ -200,7 +200,7 @@ mod tests {
         g.add_edge(v(1), v(2)).unwrap();
         g.add_edge(v(2), v(0)).unwrap();
         g.add_edge(v(3), v(4)).unwrap();
-        let labels = ComponentLabels::of_graph(&g);
+        let labels = g.freeze().components().clone();
         (g, labels)
     }
 
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn per_component_checks_agree_with_global_on_connected_graphs() {
         let g = generators::cycle(6).unwrap();
-        let labels = ComponentLabels::of_graph(&g);
+        let labels = g.freeze().components().clone();
         let mut outputs = vec![false; 6];
         outputs[5] = true;
         assert!(is_correct_largest_id(&g, &outputs));

@@ -14,9 +14,12 @@
 //!   bound and the paper's Theorem 1;
 //! * [`sequences`] — harmonic numbers and the expected radius under uniformly
 //!   random identifiers (the paper's Section 4 question);
-//! * [`stats`] / [`fit`] — summary statistics and growth-model fitting used
-//!   by the experiment harness to decide which asymptotic shape measured
-//!   curves follow.
+//! * [`stats`] — summary statistics of per-trial values and the confidence
+//!   intervals behind the sampling estimators (radius quantiles are not
+//!   computed here: every radius quantile is the nearest-rank point of the
+//!   core crate's `RadiusCdf`);
+//! * [`fit`] — growth-model fitting used by the experiment harness to decide
+//!   which asymptotic shape measured curves follow.
 //!
 //! The crate is dependency-free and purely numeric.
 //!
@@ -44,8 +47,8 @@ pub mod stats;
 pub use fit::{best_model, fit_scale, rank_models, Fit, GrowthModel};
 pub use logstar::{log2_ceil, log2_floor, log_star, tower};
 pub use stats::{
-    fpc_half_width_95, histogram, percentile, sample_size_for_half_width, stratified_mean_ci,
-    t_critical_95, StratifiedMean, StratumStat, Summary,
+    fpc_half_width_95, sample_size_for_half_width, stratified_mean_ci, t_critical_95,
+    StratifiedMean, StratumStat, Summary,
 };
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Descriptive statistics for radius profiles and repeated measurements.
+//! Descriptive statistics of repeated measurements and the confidence
+//! intervals of the sampling estimators.
 
 /// Summary statistics of a sample of real values.
 ///
@@ -237,38 +238,6 @@ pub fn sample_size_for_half_width(
     (fpc_adjusted.ceil() as usize).clamp(2, population)
 }
 
-/// The `q`-th percentile (0.0–100.0) of `values`, by linear interpolation
-/// between closest ranks. Returns 0.0 for the empty slice.
-#[must_use]
-pub fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
-    let q = q.clamp(0.0, 100.0) / 100.0;
-    let rank = q * (sorted.len() - 1) as f64;
-    let low = rank.floor() as usize;
-    let high = rank.ceil() as usize;
-    if low == high {
-        sorted[low]
-    } else {
-        let w = rank - low as f64;
-        sorted[low] * (1.0 - w) + sorted[high] * w
-    }
-}
-
-/// Histogram of integer values with unit-width bins from 0 to the maximum.
-#[must_use]
-pub fn histogram(values: &[usize]) -> Vec<usize> {
-    let max = values.iter().copied().max().unwrap_or(0);
-    let mut bins = vec![0usize; if values.is_empty() { 0 } else { max + 1 }];
-    for &v in values {
-        bins[v] += 1;
-    }
-    bins
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,24 +376,5 @@ mod tests {
         let s = Summary::from_integers(&[1, 1, 4]);
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert_eq!(s.max, 4.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 50.0), 3.0);
-        assert_eq!(percentile(&v, 100.0), 5.0);
-        assert!((percentile(&v, 25.0) - 2.0).abs() < 1e-12);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        // Out-of-range quantiles are clamped.
-        assert_eq!(percentile(&v, 150.0), 5.0);
-    }
-
-    #[test]
-    fn histogram_counts_each_value() {
-        let h = histogram(&[0, 1, 1, 3]);
-        assert_eq!(h, vec![1, 2, 0, 1]);
-        assert!(histogram(&[]).is_empty());
     }
 }

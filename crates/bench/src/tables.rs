@@ -1029,6 +1029,18 @@ mod tests {
     }
 
     #[test]
+    fn quick_figures_match_the_golden() {
+        // The figures F1-F5 at quick sizes, as `experiments --quick` prints
+        // them (each followed by a blank line), pinned byte for byte; the
+        // CSV golden above skips them.
+        let figures: String = [figure_f1, figure_f2, figure_f3, figure_f4, figure_f5]
+            .iter()
+            .map(|figure| format!("{}\n", figure(true)))
+            .collect();
+        assert_eq!(figures, include_str!("../golden/figures_quick.txt"));
+    }
+
+    #[test]
     fn figures_render_in_quick_mode() {
         let f1 = figure_f1(true);
         assert!(f1.contains("F1"));

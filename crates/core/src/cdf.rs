@@ -131,11 +131,10 @@ impl RadiusCdf {
     /// Nearest-rank quantile in thousandths (`500` = median, `900` = 90th
     /// percentile; clamped to `0..=1000`). 0.0 for the empty distribution.
     ///
-    /// Uses the same nearest-rank definition as
-    /// [`crate::RadiusProfile::quantile`] — the value at sorted index
-    /// `round(q * (total - 1))` — so for a single trial the distribution's
-    /// median is bit-identical to the `Measure::Quantile { per_mille: 500 }`
-    /// column. Walks the counts instead of selecting, `O(max radius)`.
+    /// This is the one quantile rule of the crate — the value at sorted
+    /// index `round(q * (total - 1))` — and every median and quantile
+    /// column ([`crate::MeasureSet::median`], `Measure::Quantile`) is read
+    /// off it. Walks the counts instead of selecting, `O(max radius)`.
     #[must_use]
     pub fn quantile(&self, per_mille: u16) -> f64 {
         if self.total == 0 {

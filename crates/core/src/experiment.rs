@@ -49,9 +49,7 @@
 //! ```
 
 use avglocal_analysis::Summary;
-use avglocal_graph::{
-    derive_seed, ComponentLabels, ComponentMode, CsrGraph, Graph, IdAssignment, Topology,
-};
+use avglocal_graph::{derive_seed, ComponentMode, CsrGraph, Graph, IdAssignment, Topology};
 use avglocal_runtime::{FrozenExecutor, NodeBatchOptions};
 use rayon::prelude::*;
 
@@ -334,15 +332,15 @@ impl Sweep {
             .sizes
             .iter()
             .map(|&n| {
-                // One instance per size: trials vary the identifiers, never
-                // the graph (essential for random families, cheaper for
-                // all). In per-component mode the instance is the first draw
-                // (no connectivity redraws).
+                // One instance per size, frozen and labelled once: trials
+                // vary the identifiers, never the graph (essential for
+                // random families, cheaper for all). In per-component mode
+                // the instance is the first draw (no connectivity redraws).
                 let base = self.topology.build_for(n, self.mode)?;
-                let frozen = Frozen::of(self.problem, &base, self.mode);
+                let csr = base.freeze();
                 match self.sample {
-                    Some(plan) => self.sampled_row(n, &base, &frozen, plan),
-                    None => self.exact_row(n, &base, &frozen),
+                    Some(plan) => self.sampled_row(n, &base, &csr, plan),
+                    None => self.exact_row(n, &base, &csr),
                 }
             })
             .collect::<Result<_>>()?;
@@ -355,10 +353,10 @@ impl Sweep {
     ///
     /// Trials are independent and their seeds explicit, so they run on the
     /// work-stealing pool: the pool claims trials dynamically (a slow trial
-    /// stalls only itself). Each participant clones `base` once and, for a
-    /// frozen instance, keeps one [`FrozenExecutor`] session — cloning the
-    /// [`CsrGraph`] shares the frozen adjacency and copies only the `O(n)`
-    /// identifier table — alive across every trial it steals. Each trial
+    /// stalls only itself). Each participant clones `base` once and keeps
+    /// one [`FrozenExecutor`] session of `csr` — cloning the [`CsrGraph`]
+    /// shares the frozen adjacency and copies only the `O(n)` identifier
+    /// table — alive across every trial it steals. Each trial
     /// re-labels the participant's graph and swaps the session's identifier
     /// table in place, so per-trial setup neither re-freezes nor re-clones
     /// and the session's grower scratch stays warm. Every identifier is
@@ -368,20 +366,17 @@ impl Sweep {
     fn run_trials<T: Send>(
         &self,
         base: &Graph,
-        csr: Option<&CsrGraph>,
-        trial: impl Fn(&Graph, Option<&FrozenExecutor>, usize) -> Result<T> + Sync,
+        csr: &CsrGraph,
+        trial: impl Fn(&Graph, &FrozenExecutor, usize) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
         let per_trial: Vec<Result<T>> = (0..self.trials)
             .into_par_iter()
             .map_init(
-                || (base.clone(), csr.map(|csr| FrozenExecutor::from_csr(csr.clone()))),
+                || (base.clone(), FrozenExecutor::from_csr(csr.clone())),
                 |(graph, session), t| {
                     self.policy.assignment_for_trial(t).apply(graph)?;
-                    let session = session.as_mut().map(|session| {
-                        let identifiers: Vec<_> = graph.identifiers().collect();
-                        session.set_identifiers(&identifiers);
-                        &*session
-                    });
+                    let identifiers: Vec<_> = graph.identifiers().collect();
+                    session.set_identifiers(&identifiers);
                     trial(graph, session, t)
                 },
             )
@@ -391,16 +386,12 @@ impl Sweep {
 
     /// One size of an exact sweep: every trial runs the problem on every
     /// node, verifies the outputs, and folds one [`MeasureSet`].
-    fn exact_row(&self, n: usize, base: &Graph, frozen: &Frozen) -> Result<SweepRow> {
-        let labels = frozen.labels();
-        let sets = self.run_trials(base, frozen.csr.as_ref(), |graph, session, _| {
-            let profile = self.problem.run_with(graph, session, labels)?;
+    fn exact_row(&self, n: usize, base: &Graph, csr: &CsrGraph) -> Result<SweepRow> {
+        let sets = self.run_trials(base, csr, |graph, session, _| {
+            let profile = self.problem.run_with(graph, session, self.mode)?;
             // One pass over the radius vector and the (shared) edge
             // structure produces every measure of the trial.
-            Ok(match &frozen.csr {
-                Some(csr) => MeasureSet::of_csr(&profile, csr),
-                None => MeasureSet::of(&profile, base),
-            })
+            Ok(MeasureSet::of_csr(&profile, csr))
         })?;
         let averages: Vec<f64> = sets.iter().map(|s| s.node_averaged).collect();
         let average_summary = Summary::from_values(&averages);
@@ -415,7 +406,10 @@ impl Sweep {
             topology: self.topology.clone(),
             n,
             trials: self.trials,
-            components: labels.map_or(1, ComponentLabels::count),
+            components: match self.mode {
+                ComponentMode::PerComponent => csr.components().count(),
+                ComponentMode::RequireConnected => 1,
+            },
             worst_case: mean_of(&sets, |s| s.worst_case),
             average: average_summary.mean,
             average_summary,
@@ -435,12 +429,10 @@ impl Sweep {
         &self,
         n: usize,
         base: &Graph,
-        frozen: &Frozen,
+        csr: &CsrGraph,
         plan: SamplePlan,
     ) -> Result<SweepRow> {
-        let csr = frozen.csr.as_ref().expect("sampled sweeps run ball-view problems");
-        let per_trial = self.run_trials(base, Some(csr), |_, session, t| {
-            let session = session.expect("a frozen instance gives every trial a session");
+        let per_trial = self.run_trials(base, csr, |_, session, t| {
             let sample = plan.draw(csr, plan.seed_for(self.sample_seed, t));
             let radii =
                 self.problem.probe_radii(session, sample.nodes(), &NodeBatchOptions::new())?;
@@ -539,11 +531,9 @@ pub fn run_on_topology_per_component(
     check_problem_supports_topology(problem, topology)?;
     let mut graph = topology.build_for(n, ComponentMode::PerComponent)?;
     assignment.apply(&mut graph)?;
-    let frozen = Frozen::of(problem, &graph, ComponentMode::PerComponent);
-    let labels = frozen.labels().expect("per-component mode labels the instance");
-    let session = frozen.csr.clone().map(FrozenExecutor::from_csr);
-    let profile = problem.run_with(&graph, session.as_ref(), Some(labels))?;
-    let measures = ComponentMeasures::of(&profile, &graph, labels);
+    let session = FrozenExecutor::new(&graph);
+    let profile = problem.run_with(&graph, &session, ComponentMode::PerComponent)?;
+    let measures = ComponentMeasures::of(&profile, session.csr());
     Ok((profile, measures))
 }
 
@@ -572,35 +562,6 @@ pub fn topology_with_assignment(
     let mut graph = topology.build(n)?;
     assignment.apply(&mut graph)?;
     Ok(graph)
-}
-
-/// An instance frozen and labelled once: ball-view problems freeze it (the
-/// snapshot every trial's session clones, instead of re-freezing per run),
-/// and in per-component mode it carries its component labelling —
-/// discovered at freeze time, or by a BFS sweep for round-based problems,
-/// which never freeze. The labelling scopes verification to the components.
-struct Frozen {
-    csr: Option<CsrGraph>,
-    bfs_labels: Option<ComponentLabels>,
-    per_component: bool,
-}
-
-impl Frozen {
-    fn of(problem: Problem, graph: &Graph, mode: ComponentMode) -> Self {
-        let csr = problem.uses_ball_view().then(|| graph.freeze());
-        let per_component = mode == ComponentMode::PerComponent;
-        let bfs_labels = (per_component && csr.is_none()).then(|| ComponentLabels::of_graph(graph));
-        Frozen { csr, bfs_labels, per_component }
-    }
-
-    /// The component labelling in per-component mode, `None` otherwise.
-    fn labels(&self) -> Option<&ComponentLabels> {
-        if self.per_component {
-            self.csr.as_ref().map(CsrGraph::components).or(self.bfs_labels.as_ref())
-        } else {
-            None
-        }
-    }
 }
 
 /// Mean of one measure over the per-trial sets (0 for no trials).
@@ -802,10 +763,10 @@ mod tests {
         let row = &result.rows[0];
         // The drawn instance is genuinely disconnected (that is the point of
         // the mode) and the row records its component count.
-        let instance = topology.build_unchecked(24).unwrap();
-        let labels = ComponentLabels::of_graph(&instance);
-        assert!(labels.count() > 1, "p = 0.05 at n = 24 must fall apart");
-        assert_eq!(row.components, labels.count());
+        let instance = topology.build_for(24, ComponentMode::PerComponent).unwrap().freeze();
+        let components = instance.components().count();
+        assert!(components > 1, "p = 0.05 at n = 24 must fall apart");
+        assert_eq!(row.components, components);
         assert!(row.worst_case >= row.average);
         // p = 0 degenerates to isolated nodes: every radius is 0.
         let isolated = Sweep::on(Problem::LargestId, Topology::Gnp { p: 0.0, seed: 1 }, vec![8])

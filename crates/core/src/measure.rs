@@ -58,7 +58,7 @@
 
 use std::fmt;
 
-use avglocal_graph::{ComponentLabels, CsrGraph, Graph};
+use avglocal_graph::{CsrGraph, Graph};
 
 use crate::cdf::RadiusCdf;
 use crate::profile::RadiusProfile;
@@ -120,24 +120,9 @@ impl Measure {
         MEDIAN,
     ];
 
-    /// Evaluates the measure on a radius profile alone.
-    ///
-    /// Returns `None` for [`Measure::EdgeAveraged`], which needs the graph
-    /// structure — use [`Measure::evaluate_on`] or [`MeasureSet`] for those.
-    #[must_use]
-    pub fn evaluate(&self, profile: &RadiusProfile) -> Option<f64> {
-        match self {
-            Measure::WorstCase => Some(profile.max() as f64),
-            Measure::NodeAveraged => Some(profile.average()),
-            Measure::Total => Some(profile.total() as f64),
-            Measure::Quantile { per_mille } => Some(profile.quantile(*per_mille)),
-            Measure::EdgeAveraged { .. } => None,
-        }
-    }
-
     /// Evaluates the measure on a radius profile together with the graph it
-    /// was measured on; supports every measure. Reads the measure off
-    /// [`MeasureSet::of`], so both agree bit for bit.
+    /// was measured on. Reads the measure off [`MeasureSet::of`], the one
+    /// place every measure is defined, so both agree bit for bit.
     ///
     /// # Panics
     ///
@@ -370,36 +355,30 @@ pub struct ComponentMeasures {
 }
 
 impl ComponentMeasures {
-    /// Evaluates the per-component and aggregate measures of `profile` on
-    /// `graph` under the given labelling.
+    /// Evaluates the per-component and aggregate measures of `profile` on a
+    /// frozen snapshot, under the component labelling taken at freeze time.
     ///
     /// # Panics
     ///
-    /// Panics when `profile` or `labels` do not cover every node of `graph`.
+    /// Panics when `profile` does not cover every node of `csr`.
     #[must_use]
-    pub fn of(profile: &RadiusProfile, graph: &Graph, labels: &ComponentLabels) -> Self {
-        assert_eq!(
-            labels.node_count(),
-            graph.node_count(),
-            "the labelling must cover every node of the graph"
-        );
-        let aggregate = MeasureSet::of(profile, graph);
-        let radii = profile.radii();
-        let count = labels.count();
-        let mut component_radii: Vec<Vec<usize>> = vec![Vec::new(); count];
+    pub fn of(profile: &RadiusProfile, csr: &CsrGraph) -> Self {
+        let aggregate = MeasureSet::of_csr(profile, csr);
+        let labels = csr.components().labels();
+        let mut component_radii: Vec<Vec<usize>> = vec![Vec::new(); csr.components().count()];
         // Node index -> index within its component's radius vector, so edges
         // can be rebased into component-local indices.
-        let mut local_index: Vec<usize> = Vec::with_capacity(radii.len());
-        for v in graph.nodes() {
-            let c = labels.label(v) as usize;
+        let mut local_index: Vec<usize> = Vec::with_capacity(labels.len());
+        for (&label, &radius) in labels.iter().zip(profile.radii()) {
+            let c = label as usize;
             local_index.push(component_radii[c].len());
-            component_radii[c].push(radii[v.index()]);
+            component_radii[c].push(radius);
         }
-        let mut component_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); count];
-        for (u, v) in graph.edges() {
-            let c = labels.label(u) as usize;
-            debug_assert_eq!(c, labels.label(v) as usize, "edges never cross components");
-            component_edges[c].push((local_index[u.index()], local_index[v.index()]));
+        let mut component_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); component_radii.len()];
+        for (u, v) in csr.edges() {
+            let c = labels[u as usize] as usize;
+            debug_assert_eq!(c, labels[v as usize] as usize, "edges never cross components");
+            component_edges[c].push((local_index[u as usize], local_index[v as usize]));
         }
         let per_component = component_radii
             .iter()
@@ -423,12 +402,13 @@ mod tests {
 
     #[test]
     fn measures_evaluate_correctly() {
-        let p = RadiusProfile::new(vec![1, 2, 3, 10]);
-        assert_eq!(Measure::WorstCase.evaluate(&p), Some(10.0));
-        assert_eq!(Measure::NodeAveraged.evaluate(&p), Some(4.0));
-        assert_eq!(Measure::Total.evaluate(&p), Some(16.0));
-        assert_eq!(MEDIAN.evaluate(&p), Some(3.0));
-        assert_eq!(Measure::EdgeAveraged { weight: EdgeWeight::Max }.evaluate(&p), None);
+        let set = MeasureSet::compute(&[1, 2, 3, 10], std::iter::empty());
+        assert_eq!(set.get(Measure::WorstCase), Some(10.0));
+        assert_eq!(set.get(Measure::NodeAveraged), Some(4.0));
+        assert_eq!(set.get(Measure::Total), Some(16.0));
+        assert_eq!(set.get(MEDIAN), Some(3.0));
+        // No edges: the edge averages are 0.
+        assert_eq!(set.get(Measure::EdgeAveraged { weight: EdgeWeight::Max }), Some(0.0));
     }
 
     #[test]
@@ -529,7 +509,7 @@ mod tests {
     #[test]
     fn nearest_rank_quantiles() {
         let quantile = |radii: Vec<usize>, per_mille: u16| {
-            Measure::Quantile { per_mille }.evaluate(&RadiusProfile::new(radii))
+            MeasureSet::compute(&radii, std::iter::empty()).get(Measure::Quantile { per_mille })
         };
         // Deliberately unsorted: the quantile handles any order.
         assert_eq!(quantile(vec![4, 1, 3, 2], 0), Some(1.0));
@@ -550,9 +530,8 @@ mod tests {
             g.add_node(Identifier::new(i));
         }
         g.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
-        let labels = ComponentLabels::of_graph(&g);
         let p = RadiusProfile::new(vec![2, 4, 0]);
-        let cm = ComponentMeasures::of(&p, &g, &labels);
+        let cm = ComponentMeasures::of(&p, &g.freeze());
         assert_eq!(cm.component_count(), 2);
         assert_eq!(cm.per_component[0].node_averaged, 3.0);
         assert_eq!(cm.per_component[0].edge_averaged, 4.0);

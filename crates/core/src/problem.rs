@@ -10,8 +10,8 @@ use avglocal_algorithms::{
     run_three_coloring, verify, FullInfoColoring, FullInfoLargestId, KnowTheLeader,
     LandmarkColoring, LargestId,
 };
-use avglocal_graph::{ComponentLabels, Graph};
-use avglocal_runtime::{BallAlgorithm, BallExecution, FrozenExecutor, Knowledge};
+use avglocal_graph::{ComponentMode, Graph};
+use avglocal_runtime::{BallAlgorithm, FrozenExecutor, Knowledge};
 
 use crate::error::{CoreError, Result};
 use crate::profile::RadiusProfile;
@@ -84,12 +84,12 @@ impl Problem {
     }
 
     /// Returns `true` when the problem's algorithm runs through the ball
-    /// view ([`FrozenExecutor`]) — these are the problems
-    /// whose sweep trials can share one frozen adjacency snapshot.
+    /// view ([`FrozenExecutor`]) — these are the problems with per-node ball
+    /// probes, so the only ones a sampled sweep can run
+    /// ([`Problem::probe_radii`]).
     ///
-    /// The match is deliberately exhaustive (no wildcard) and mirrors which
-    /// arms of `Problem::run_with` go through `ball_run`: adding a variant
-    /// forces both places to classify it.
+    /// The match is deliberately exhaustive (no wildcard), so adding a
+    /// variant forces it to be classified.
     #[must_use]
     pub fn uses_ball_view(&self) -> bool {
         match self {
@@ -112,74 +112,44 @@ impl Problem {
     /// [`CoreError::InvalidOutput`] when the verifier rejects the output —
     /// the latter should never happen and indicates a bug.
     pub fn run(&self, graph: &Graph) -> Result<RadiusProfile> {
-        self.run_with(graph, None, None)
+        self.run_with(graph, &FrozenExecutor::new(graph), ComponentMode::RequireConnected)
     }
 
     /// The general entry point the sweep harness uses: ball-view problems
-    /// execute on `session`'s frozen snapshot instead of freezing `graph`
-    /// per call, and `components` switches to per-component semantics.
+    /// execute on `session`'s frozen snapshot, round-based problems on
+    /// `graph` (they ignore the session), and `mode` picks the verification.
     ///
     /// The session must mirror `graph` (same adjacency and identifiers) —
     /// the sweep harness maintains this by cloning one frozen base per size
-    /// and swapping the identifier table per trial; round-based problems
-    /// ignore it, and results are identical either way. With `components`
-    /// (the labelling of `graph`, usually taken from the frozen snapshot's
-    /// [`avglocal_graph::CsrGraph::components`]), `graph` may be
-    /// disconnected, every ball saturates at its component boundary, and
-    /// outputs are verified **per component** (e.g. largest-ID elects one
-    /// winner per component); on a connected graph this equals
-    /// [`Problem::run`].
+    /// and swapping the identifier table per trial. In
+    /// [`ComponentMode::PerComponent`], `graph` may be disconnected, every
+    /// ball saturates at its component boundary, and outputs are verified
+    /// **per component** under the session's freeze-time labelling (e.g.
+    /// largest-ID elects one winner per component); on a connected graph
+    /// this equals [`Problem::run`].
     ///
     /// # Panics
     ///
-    /// Panics when `session` or `components` does not cover every node of
-    /// `graph`.
+    /// Panics when `session` does not cover every node of `graph`.
     pub(crate) fn run_with(
         &self,
         graph: &Graph,
-        session: Option<&FrozenExecutor>,
-        components: Option<&ComponentLabels>,
+        session: &FrozenExecutor,
+        mode: ComponentMode,
     ) -> Result<RadiusProfile> {
-        if let Some(session) = session {
-            assert_eq!(
-                session.node_count(),
-                graph.node_count(),
-                "the frozen session must mirror the graph it stands in for"
-            );
-        }
-        if let Some(labels) = components {
-            assert_eq!(
-                labels.node_count(),
-                graph.node_count(),
-                "the component labelling must cover every node of the graph"
-            );
-        }
-
-        /// Runs a ball algorithm on the session when one is available,
-        /// freezing the graph per call otherwise.
-        fn ball_run<A>(
-            graph: &Graph,
-            session: Option<&FrozenExecutor>,
-            algorithm: &A,
-            knowledge: Knowledge,
-        ) -> avglocal_runtime::Result<BallExecution<A::Output>>
-        where
-            A: BallAlgorithm + Sync,
-            A::Output: Send,
-        {
-            match session {
-                Some(frozen) => frozen.run(algorithm, knowledge),
-                None => FrozenExecutor::new(graph).run(algorithm, knowledge),
-            }
-        }
-
+        assert_eq!(
+            session.node_count(),
+            graph.node_count(),
+            "the frozen session must mirror the graph it stands in for"
+        );
+        let components = (mode == ComponentMode::PerComponent).then(|| session.csr().components());
         let knowledge = Knowledge::none();
         // Outputs of ball algorithms are scoped to the component the ball
         // saturates in, so the per-component entry points swap in the
         // component-wise verifiers; on a connected graph the two coincide.
         match self {
             Problem::LargestId => {
-                let run = ball_run(graph, session, &LargestId, knowledge)?;
+                let run = session.run(&LargestId, knowledge)?;
                 self.check(match components {
                     Some(labels) => {
                         verify::is_correct_largest_id_per_component(graph, labels, run.outputs())
@@ -189,7 +159,7 @@ impl Problem {
                 Ok(RadiusProfile::from_ball_execution(&run))
             }
             Problem::FullInfoLargestId => {
-                let run = ball_run(graph, session, &FullInfoLargestId, knowledge)?;
+                let run = session.run(&FullInfoLargestId, knowledge)?;
                 self.check(match components {
                     Some(labels) => {
                         verify::is_correct_largest_id_per_component(graph, labels, run.outputs())
@@ -199,7 +169,7 @@ impl Problem {
                 Ok(RadiusProfile::from_ball_execution(&run))
             }
             Problem::KnowTheLeader => {
-                let run = ball_run(graph, session, &KnowTheLeader, knowledge)?;
+                let run = session.run(&KnowTheLeader, knowledge)?;
                 match components {
                     Some(labels) => {
                         self.check(verify::is_component_leader_output(
@@ -226,12 +196,12 @@ impl Problem {
                 Ok(RadiusProfile::new(rounds))
             }
             Problem::LandmarkColoring => {
-                let run = ball_run(graph, session, &LandmarkColoring, knowledge)?;
+                let run = session.run(&LandmarkColoring, knowledge)?;
                 self.check(verify::is_proper_coloring(graph, run.outputs(), 4))?;
                 Ok(RadiusProfile::from_ball_execution(&run))
             }
             Problem::FullInfoColoring => {
-                let run = ball_run(graph, session, &FullInfoColoring, knowledge)?;
+                let run = session.run(&FullInfoColoring, knowledge)?;
                 self.check(verify::is_proper_coloring(graph, run.outputs(), 3))?;
                 Ok(RadiusProfile::from_ball_execution(&run))
             }
@@ -410,11 +380,11 @@ mod tests {
                 g.add_edge(v(c + i), v(c + (i + 1) % 6)).unwrap();
             }
         }
-        let labels = ComponentLabels::of_graph(&g);
-        assert_eq!(labels.count(), 2);
+        let session = FrozenExecutor::new(&g);
+        assert_eq!(session.csr().components().count(), 2);
         for problem in [Problem::LargestId, Problem::FullInfoLargestId, Problem::KnowTheLeader] {
             assert!(problem.run(&g).is_err(), "{problem} must reject global verification");
-            let profile = problem.run_with(&g, None, Some(&labels)).unwrap();
+            let profile = problem.run_with(&g, &session, ComponentMode::PerComponent).unwrap();
             assert_eq!(profile.len(), 12, "{problem}");
             // No ball ever needs to leave its 6-node component.
             assert!(profile.max() <= 3, "{problem}");
@@ -424,11 +394,11 @@ mod tests {
     #[test]
     fn per_component_equals_global_on_connected_graphs() {
         let g = ring(20, 11);
-        let labels = ComponentLabels::of_graph(&g);
+        let session = FrozenExecutor::new(&g);
         for problem in [Problem::LargestId, Problem::KnowTheLeader] {
             assert_eq!(
                 problem.run(&g).unwrap(),
-                problem.run_with(&g, None, Some(&labels)).unwrap()
+                problem.run_with(&g, &session, ComponentMode::PerComponent).unwrap()
             );
         }
     }

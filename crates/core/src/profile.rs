@@ -1,6 +1,5 @@
 //! Radius profiles: the per-node costs an execution produced.
 
-use avglocal_analysis::{histogram, Summary};
 use avglocal_graph::NodeId;
 use avglocal_runtime::{BallExecution, Execution};
 
@@ -81,12 +80,6 @@ impl RadiusProfile {
         self.radii.iter().copied().max().unwrap_or(0)
     }
 
-    /// The smallest radius (0 for the empty profile).
-    #[must_use]
-    pub fn min(&self) -> usize {
-        self.radii.iter().copied().min().unwrap_or(0)
-    }
-
     /// The total cost `Σ_v r(v)`.
     #[must_use]
     pub fn total(&self) -> usize {
@@ -103,42 +96,12 @@ impl RadiusProfile {
         }
     }
 
-    /// Nearest-rank quantile of the radii, in thousandths (`500` = median,
-    /// `900` = 90th percentile; values above 1000 are clamped): the value at
-    /// index `round(q · (n - 1))` of the sorted radii, read off
-    /// [`RadiusProfile::cdf`]. Returns 0.0 for the empty profile.
-    #[must_use]
-    pub fn quantile(&self, per_mille: u16) -> f64 {
-        self.cdf().quantile(per_mille)
-    }
-
     /// The exact radius distribution of the profile (see
     /// [`crate::RadiusCdf`]): every quantile and tail of the execution in
     /// one mergeable report.
     #[must_use]
     pub fn cdf(&self) -> crate::RadiusCdf {
         crate::RadiusCdf::from_radii(&self.radii)
-    }
-
-    /// Fraction of nodes with radius at most `r`.
-    #[must_use]
-    pub fn fraction_within(&self, r: usize) -> f64 {
-        if self.radii.is_empty() {
-            return 0.0;
-        }
-        self.radii.iter().filter(|&&x| x <= r).count() as f64 / self.radii.len() as f64
-    }
-
-    /// Summary statistics of the radii.
-    #[must_use]
-    pub fn summary(&self) -> Summary {
-        Summary::from_integers(&self.radii)
-    }
-
-    /// Histogram of the radii (`result[r]` = number of nodes with radius `r`).
-    #[must_use]
-    pub fn histogram(&self) -> Vec<usize> {
-        histogram(&self.radii)
     }
 
     /// Consumes the profile and returns the radii.
@@ -173,13 +136,12 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());
         assert_eq!(p.max(), 6);
-        assert_eq!(p.min(), 2);
         assert_eq!(p.total(), 12);
         assert_eq!(p.average(), 4.0);
         assert_eq!(p.radius(NodeId::new(1)), Some(4));
         assert_eq!(p.radius(NodeId::new(9)), None);
-        assert_eq!(p.histogram()[2], 1);
-        assert_eq!(p.summary().count, 3);
+        assert_eq!(p.cdf().count_at(2), 1);
+        assert_eq!(p.cdf().observations(), 3);
     }
 
     #[test]
@@ -187,42 +149,32 @@ mod tests {
         let p = RadiusProfile::new(vec![]);
         assert!(p.is_empty());
         assert_eq!(p.max(), 0);
-        assert_eq!(p.min(), 0);
         assert_eq!(p.average(), 0.0);
-        assert_eq!(p.fraction_within(10), 0.0);
+        assert_eq!(p.cdf().fraction_within(10), 0.0);
     }
 
     #[test]
     fn quantiles_are_nearest_rank() {
-        let p = RadiusProfile::new(vec![5, 1, 3, 2, 4]);
-        assert_eq!(p.quantile(0), 1.0);
-        assert_eq!(p.quantile(500), 3.0);
-        assert_eq!(p.quantile(1000), 5.0);
-        assert_eq!(RadiusProfile::new(vec![]).quantile(500), 0.0);
+        let q = |radii: Vec<usize>, per_mille| RadiusProfile::new(radii).cdf().quantile(per_mille);
+        assert_eq!(q(vec![5, 1, 3, 2, 4], 0), 1.0);
+        assert_eq!(q(vec![5, 1, 3, 2, 4], 500), 3.0);
+        assert_eq!(q(vec![5, 1, 3, 2, 4], 1000), 5.0);
+        assert_eq!(q(vec![], 500), 0.0);
         // Any input order; an even count rounds the rank half up
         // (round(0.5 * 3) = 2); a single radius is every quantile.
-        let p = RadiusProfile::new(vec![4, 1, 3, 2]);
-        assert_eq!(p.quantile(0), 1.0);
-        assert_eq!(p.quantile(500), 3.0);
-        assert_eq!(p.quantile(1000), 4.0);
-        assert_eq!(RadiusProfile::new(vec![7]).quantile(250), 7.0);
+        assert_eq!(q(vec![4, 1, 3, 2], 0), 1.0);
+        assert_eq!(q(vec![4, 1, 3, 2], 500), 3.0);
+        assert_eq!(q(vec![4, 1, 3, 2], 1000), 4.0);
+        assert_eq!(q(vec![7], 250), 7.0);
     }
 
     #[test]
     fn fraction_within_is_a_cdf() {
-        let p = RadiusProfile::new(vec![1, 2, 3, 4]);
-        assert_eq!(p.fraction_within(0), 0.0);
-        assert_eq!(p.fraction_within(2), 0.5);
-        assert_eq!(p.fraction_within(4), 1.0);
-        assert_eq!(p.fraction_within(100), 1.0);
-        // The full distribution report agrees point by point.
-        let cdf = p.cdf();
-        for r in 0..=5 {
-            assert_eq!(cdf.fraction_within(r), p.fraction_within(r), "r={r}");
-        }
-        for per_mille in [0u16, 250, 500, 750, 1000] {
-            assert_eq!(cdf.quantile(per_mille), p.quantile(per_mille), "q={per_mille}");
-        }
+        let cdf = RadiusProfile::new(vec![1, 2, 3, 4]).cdf();
+        assert_eq!(cdf.fraction_within(0), 0.0);
+        assert_eq!(cdf.fraction_within(2), 0.5);
+        assert_eq!(cdf.fraction_within(4), 1.0);
+        assert_eq!(cdf.fraction_within(100), 1.0);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! lets callers choose between the historical "reject disconnected
 //! instances" behaviour and the explicit per-component semantics.
 //!
-//! Labels are computed at freeze time by [`crate::Graph::freeze`], with a
-//! BFS sweep over the CSR arrays. The canonical form — components numbered
-//! by smallest member, sizes in label order — is independent of discovery
-//! order, so [`ComponentLabels::of_graph`] and the frozen labelling agree
-//! exactly.
+//! Labels are computed only where a CSR adjacency is built — at freeze time
+//! by [`crate::Graph::freeze`] and when a snapshot is decoded — with one BFS
+//! sweep over the CSR arrays, and read through
+//! [`crate::CsrGraph::components`]. The canonical form (components numbered
+//! by smallest member, sizes in label order) is independent of discovery
+//! order.
 
-use crate::{Graph, NodeId};
+use crate::NodeId;
 
 /// How an experiment treats disconnected instances.
 ///
@@ -45,14 +46,15 @@ pub enum ComponentMode {
 /// # Examples
 ///
 /// ```
-/// use avglocal_graph::{ComponentLabels, Graph, Identifier};
+/// use avglocal_graph::{Graph, Identifier};
 ///
 /// let mut g = Graph::new();
 /// let a = g.add_node(Identifier::new(0));
 /// let b = g.add_node(Identifier::new(1));
 /// let c = g.add_node(Identifier::new(2));
 /// g.add_edge(a, c).unwrap();
-/// let labels = ComponentLabels::of_graph(&g);
+/// let csr = g.freeze();
+/// let labels = csr.components();
 /// assert_eq!(labels.count(), 2);
 /// assert_eq!(labels.label(a), 0);
 /// assert_eq!(labels.label(b), 1);
@@ -69,26 +71,33 @@ pub struct ComponentLabels {
 }
 
 impl ComponentLabels {
-    /// Labels the components of `graph` with a sequential BFS sweep.
-    #[must_use]
-    pub fn of_graph(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        bfs_labels(n, |v, queue_cb| {
-            for &u in graph.neighbors(NodeId::new(v as usize)) {
-                queue_cb(u.index() as u32);
-            }
-        })
-    }
-
     /// Labels the components of a CSR adjacency with a sequential BFS sweep.
     #[must_use]
     pub(crate) fn of_csr(offsets: &[u32], targets: &[u32]) -> Self {
         let n = offsets.len() - 1;
-        bfs_labels(n, |v, queue_cb| {
-            for &u in &targets[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
-                queue_cb(u);
+        let mut labels = vec![u32::MAX; n];
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut queue: Vec<u32> = Vec::new();
+        for start in 0..n {
+            if labels[start] != u32::MAX {
+                continue;
             }
-        })
+            let label = sizes.len() as u32;
+            let mut size = 0u32;
+            labels[start] = label;
+            queue.push(start as u32);
+            while let Some(v) = queue.pop() {
+                size += 1;
+                for &u in &targets[offsets[v as usize] as usize..offsets[v as usize + 1] as usize] {
+                    if labels[u as usize] == u32::MAX {
+                        labels[u as usize] = label;
+                        queue.push(u);
+                    }
+                }
+            }
+            sizes.push(size);
+        }
+        ComponentLabels { labels, sizes }
     }
 
     /// Number of connected components (0 for the empty graph).
@@ -133,38 +142,15 @@ impl ComponentLabels {
     }
 }
 
-/// Sequential BFS labelling over any adjacency representation: `neighbors`
-/// is called with a node and a callback receiving each neighbour.
-fn bfs_labels(n: usize, neighbors: impl Fn(u32, &mut dyn FnMut(u32))) -> ComponentLabels {
-    let mut labels = vec![u32::MAX; n];
-    let mut sizes: Vec<u32> = Vec::new();
-    let mut queue: Vec<u32> = Vec::new();
-    for start in 0..n as u32 {
-        if labels[start as usize] != u32::MAX {
-            continue;
-        }
-        let label = sizes.len() as u32;
-        let mut size = 0u32;
-        labels[start as usize] = label;
-        queue.push(start);
-        while let Some(v) = queue.pop() {
-            size += 1;
-            neighbors(v, &mut |u| {
-                if labels[u as usize] == u32::MAX {
-                    labels[u as usize] = label;
-                    queue.push(u);
-                }
-            });
-        }
-        sizes.push(size);
-    }
-    ComponentLabels { labels, sizes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generators, traversal, Identifier};
+    use crate::{generators, traversal, Graph, Identifier};
+
+    /// The labelling the freeze computes.
+    fn labels_of(graph: &Graph) -> ComponentLabels {
+        graph.freeze().components().clone()
+    }
 
     fn assert_matches_traversal(graph: &Graph, labels: &ComponentLabels) {
         let expected = traversal::connected_components(graph);
@@ -180,7 +166,7 @@ mod tests {
     #[test]
     fn connected_graph_has_one_component() {
         let g = generators::cycle(12).unwrap();
-        let labels = ComponentLabels::of_graph(&g);
+        let labels = labels_of(&g);
         assert_eq!(labels.count(), 1);
         assert!(labels.is_connected());
         assert_eq!(labels.sizes(), &[12]);
@@ -190,7 +176,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_connected_with_zero_components() {
-        let labels = ComponentLabels::of_graph(&Graph::new());
+        let labels = labels_of(&Graph::new());
         assert_eq!(labels.count(), 0);
         assert_eq!(labels.node_count(), 0);
         assert!(labels.is_connected());
@@ -203,7 +189,7 @@ mod tests {
             g.add_node(Identifier::new(i));
         }
         g.add_edge(NodeId::new(1), NodeId::new(3)).unwrap();
-        let labels = ComponentLabels::of_graph(&g);
+        let labels = labels_of(&g);
         assert_eq!(labels.count(), 4);
         assert_eq!(labels.label(NodeId::new(1)), labels.label(NodeId::new(3)));
         assert_eq!(labels.sizes(), &[1, 2, 1, 1]);
@@ -221,7 +207,7 @@ mod tests {
         g.add_edge(NodeId::new(5), NodeId::new(1)).unwrap();
         g.add_edge(NodeId::new(4), NodeId::new(0)).unwrap();
         g.add_edge(NodeId::new(3), NodeId::new(2)).unwrap();
-        let labels = ComponentLabels::of_graph(&g);
+        let labels = labels_of(&g);
         // Component 0 contains node 0, component 1 node 1, component 2 node 2.
         assert_eq!(labels.label(NodeId::new(0)), 0);
         assert_eq!(labels.label(NodeId::new(4)), 0);
@@ -253,10 +239,7 @@ mod tests {
             },
         ];
         for g in &graphs {
-            let csr = g.freeze();
-            let labels = ComponentLabels::of_csr(csr.offsets(), csr.targets());
-            assert_eq!(labels, ComponentLabels::of_graph(g));
-            assert_matches_traversal(g, &labels);
+            assert_matches_traversal(g, g.freeze().components());
         }
     }
 

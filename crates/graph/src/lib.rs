@@ -22,8 +22,7 @@
 //! * [`snapshot`] — the versioned binary form of a [`CsrGraph`]
 //!   ([`CsrGraph::to_bytes`] / [`CsrGraph::from_bytes`]) with a validating
 //!   decoder that treats its input as untrusted;
-//! * [`traversal`] / [`metrics`] — centralized graph algorithms used for
-//!   verification and reporting;
+//! * [`traversal`] — centralized graph algorithms used for verification;
 //! * [`PortNumbering`] — the local names a node uses for its incident edges.
 //!
 //! # Example
@@ -58,7 +57,6 @@ mod graph;
 pub mod grower;
 mod ids;
 pub mod io;
-pub mod metrics;
 mod permutation;
 mod ports;
 pub mod snapshot;
@@ -74,7 +72,6 @@ pub use error::{GraphError, Result};
 pub use graph::Graph;
 pub use grower::{BallGrower, GrowerScratch};
 pub use ids::{Identifier, NodeId};
-pub use metrics::{summarize, GraphSummary};
 pub use permutation::Permutation;
 pub use ports::PortNumbering;
 pub use topology::{derive_seed, Topology};

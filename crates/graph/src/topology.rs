@@ -211,34 +211,16 @@ impl Topology {
         }
     }
 
-    /// Builds a single instance without the connectivity guarantee: for
-    /// `Gnp` this is the first draw whether or not it is connected, for every
-    /// other family it equals [`Topology::build`].
-    ///
-    /// This is the build the per-component experiment mode uses (via
-    /// [`Topology::build_for`]); tests also use it to construct deliberately
-    /// disconnected instances.
-    ///
-    /// # Errors
-    ///
-    /// Same size errors as [`Topology::build`], minus the connectivity one.
-    pub fn build_unchecked(&self, n: usize) -> Result<Graph> {
-        match self {
-            Topology::Gnp { p, seed } => gnp_draw(n, *p, *seed, 0),
-            Topology::PowerLawConfiguration { gamma, seed } => power_law_draw(n, *gamma, *seed, 0),
-            always_connected => always_connected.build(n),
-        }
-    }
-
     /// Builds an instance under the given [`ComponentMode`].
     ///
     /// [`ComponentMode::RequireConnected`] is [`Topology::build`]: random
     /// families are redrawn from derived seeds until connected, and a
     /// persistently disconnected family is a hard error.
-    /// [`ComponentMode::PerComponent`] is [`Topology::build_unchecked`]: the
-    /// **first** draw is used as-is — no connectivity check runs and no
-    /// derived seeds are burnt on redraws, because a disconnected instance
-    /// is exactly what the caller asked to study.
+    /// [`ComponentMode::PerComponent`] uses the **first** draw as-is — no
+    /// connectivity check runs and no derived seeds are burnt on redraws,
+    /// because a disconnected instance is exactly what the caller asked to
+    /// study; families that are connected by construction build as in
+    /// [`Topology::build`].
     ///
     /// # Errors
     ///
@@ -247,7 +229,13 @@ impl Topology {
     pub fn build_for(&self, n: usize, mode: ComponentMode) -> Result<Graph> {
         match mode {
             ComponentMode::RequireConnected => self.build(n),
-            ComponentMode::PerComponent => self.build_unchecked(n),
+            ComponentMode::PerComponent => match self {
+                Topology::Gnp { p, seed } => gnp_draw(n, *p, *seed, 0),
+                Topology::PowerLawConfiguration { gamma, seed } => {
+                    power_law_draw(n, *gamma, *seed, 0)
+                }
+                always_connected => always_connected.build(n),
+            },
         }
     }
 }
@@ -271,7 +259,7 @@ fn connected_draw(
 
 /// Draw number `attempt` of the `G(n, p)` family with base `seed` — the one
 /// place the per-instance seed stream is derived, shared by
-/// [`Topology::build`]'s retry loop and [`Topology::build_unchecked`].
+/// [`Topology::build`]'s retry loop and [`Topology::build_for`]'s first draw.
 fn gnp_draw(n: usize, p: f64, seed: u64, attempt: u64) -> Result<Graph> {
     let stream = derive_seed(seed, n as u64);
     let mut rng = StdRng::seed_from_u64(derive_seed(stream, attempt));
@@ -395,8 +383,9 @@ mod tests {
         let err = Topology::Gnp { p: 0.0, seed: 1 }.build(8).unwrap_err();
         assert!(matches!(err, GraphError::Disconnected { .. }));
         assert!(err.to_string().contains("disconnected"));
-        // The unchecked build hands the disconnected draw back for tests.
-        let raw = Topology::Gnp { p: 0.0, seed: 1 }.build_unchecked(8).unwrap();
+        // Per-component mode hands the disconnected draw back.
+        let raw =
+            Topology::Gnp { p: 0.0, seed: 1 }.build_for(8, ComponentMode::PerComponent).unwrap();
         assert_eq!(raw.edge_count(), 0);
         assert!(!traversal::is_connected(&raw));
     }
@@ -408,7 +397,7 @@ mod tests {
         // derived seeds are burnt on redraws.
         let topology = Topology::Gnp { p: 0.0, seed: 1 };
         let g = topology.build_for(8, ComponentMode::PerComponent).unwrap();
-        assert_eq!(g, topology.build_unchecked(8).unwrap());
+        assert_eq!(g, gnp_draw(8, 0.0, 1, 0).unwrap());
         assert_eq!(g.edge_count(), 0);
         // The connected mode still redraws and still fails loudly.
         let err = topology.build_for(8, ComponentMode::RequireConnected).unwrap_err();
@@ -441,9 +430,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.node_count(), 48);
         assert!(traversal::is_connected(&a));
-        // Always connected: both component modes hand back the same draw,
-        // and the unchecked build is the build.
-        assert_eq!(a, topology.build_unchecked(48).unwrap());
+        // Always connected: both component modes hand back the same draw.
         assert_eq!(a, topology.build_for(48, ComponentMode::PerComponent).unwrap());
         // Different sizes draw from different derived streams.
         assert_eq!(topology.build(20).unwrap().node_count(), 20);
@@ -452,9 +439,9 @@ mod tests {
     #[test]
     fn power_law_configuration_redraws_or_hands_back_the_first_draw() {
         let topology = Topology::PowerLawConfiguration { gamma: 2.0, seed: 3 };
-        let raw = topology.build_unchecked(48).unwrap();
+        let raw = topology.build_for(48, ComponentMode::PerComponent).unwrap();
         assert_eq!(raw.node_count(), 48);
-        assert_eq!(raw, topology.build_for(48, ComponentMode::PerComponent).unwrap());
+        assert_eq!(raw, power_law_draw(48, 2.0, 3, 0).unwrap());
         // The connected build, when it succeeds, is connected.
         if let Ok(g) = topology.build(48) {
             assert!(traversal::is_connected(&g));
@@ -472,8 +459,9 @@ mod tests {
         let pa = Topology::PreferentialAttachment { m: 2, seed: 7 }.build(256).unwrap();
         let mean_degree = 2.0 * pa.edge_count() as f64 / pa.node_count() as f64;
         assert!(pa.max_degree().unwrap() as f64 > 2.5 * mean_degree);
-        let plc =
-            Topology::PowerLawConfiguration { gamma: 2.2, seed: 7 }.build_unchecked(256).unwrap();
+        let plc = Topology::PowerLawConfiguration { gamma: 2.2, seed: 7 }
+            .build_for(256, ComponentMode::PerComponent)
+            .unwrap();
         let mean_degree = 2.0 * plc.edge_count() as f64 / plc.node_count() as f64;
         assert!(plc.max_degree().unwrap() as f64 > 2.5 * mean_degree);
     }

@@ -26,40 +26,25 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Knowledge {
     node_count: Option<usize>,
-    identifier_bound: Option<u64>,
 }
 
 impl Knowledge {
     /// No global knowledge at all (the paper's setting).
     #[must_use]
     pub const fn none() -> Self {
-        Knowledge { node_count: None, identifier_bound: None }
+        Knowledge { node_count: None }
     }
 
     /// The classic LOCAL assumption: every node knows `n`.
     #[must_use]
     pub const fn with_node_count(n: usize) -> Self {
-        Knowledge { node_count: Some(n), identifier_bound: None }
-    }
-
-    /// Adds knowledge of an upper bound on identifier values (the size of the
-    /// identifier space, often polynomial in `n`).
-    #[must_use]
-    pub const fn and_identifier_bound(mut self, bound: u64) -> Self {
-        self.identifier_bound = Some(bound);
-        self
+        Knowledge { node_count: Some(n) }
     }
 
     /// Number of nodes, if known.
     #[must_use]
     pub const fn node_count(&self) -> Option<usize> {
         self.node_count
-    }
-
-    /// Upper bound on identifier values, if known.
-    #[must_use]
-    pub const fn identifier_bound(&self) -> Option<u64> {
-        self.identifier_bound
     }
 }
 
@@ -71,21 +56,12 @@ mod tests {
     fn none_knows_nothing() {
         let k = Knowledge::none();
         assert_eq!(k.node_count(), None);
-        assert_eq!(k.identifier_bound(), None);
         assert_eq!(k, Knowledge::default());
-    }
-
-    #[test]
-    fn builders_accumulate() {
-        let k = Knowledge::with_node_count(10).and_identifier_bound(1000);
-        assert_eq!(k.node_count(), Some(10));
-        assert_eq!(k.identifier_bound(), Some(1000));
     }
 
     #[test]
     fn with_node_count_shortcut() {
         let k = Knowledge::with_node_count(5);
         assert_eq!(k.node_count(), Some(5));
-        assert_eq!(k.identifier_bound(), None);
     }
 }

@@ -3,11 +3,11 @@
 //! The frozen snapshot must mirror its source exactly on every input: each
 //! node's CSR neighbour slice is its adjacency list in port order, the
 //! identifier table is copied unchanged, and the canonical component
-//! labelling matches both the BFS-based `traversal::connected_components`
-//! ground truth and the standalone `ComponentLabels::of_graph`.
+//! labelling matches the BFS-based `traversal::connected_components`
+//! ground truth.
 
 use avglocal::graph::csr::CsrGraph;
-use avglocal::graph::{traversal, ComponentLabels, ComponentMode};
+use avglocal::graph::{traversal, ComponentMode};
 use avglocal::prelude::*;
 use avglocal::runtime::examples::NaiveLargestId;
 use proptest::prelude::*;
@@ -39,8 +39,6 @@ fn assert_freeze_agreement(graph: &Graph) {
         }
     }
     assert_eq!(labels.is_connected(), traversal::is_connected(graph));
-    // The standalone graph labelling agrees with the freeze-time one.
-    assert_eq!(&ComponentLabels::of_graph(graph), labels);
 }
 
 #[test]
@@ -64,7 +62,9 @@ fn freeze_agrees_on_disconnected_instances() {
         assert_freeze_agreement(&graph);
     }
     // The degenerate extremes: no edges at all, and the empty graph.
-    assert_freeze_agreement(&Topology::Gnp { p: 0.0, seed: 1 }.build_unchecked(16).unwrap());
+    assert_freeze_agreement(
+        &Topology::Gnp { p: 0.0, seed: 1 }.build_for(16, ComponentMode::PerComponent).unwrap(),
+    );
     assert_freeze_agreement(&Graph::new());
 }
 
@@ -81,7 +81,8 @@ fn frozen_components_feed_the_executors_unchanged() {
     // A frozen snapshot of a disconnected graph still runs: every ball
     // saturates at its component, so each component elects exactly its own
     // largest identifier, within a radius below the component's size.
-    let graph = Topology::Gnp { p: 0.02, seed: 3 }.build_unchecked(40).unwrap();
+    let graph =
+        Topology::Gnp { p: 0.02, seed: 3 }.build_for(40, ComponentMode::PerComponent).unwrap();
     let csr = graph.freeze();
     assert_eq!(CsrGraph::from_graph(&graph), csr);
     let labels = csr.components().clone();

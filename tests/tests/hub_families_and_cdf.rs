@@ -117,7 +117,7 @@ fn single_trial_cdf_median_is_bit_identical_to_the_quantile_column() {
             &AssignmentPolicy::Random { base_seed: 11 }.assignment_for_trial(0),
         )
         .unwrap();
-        assert_eq!(row.median, profile.quantile(500), "{topology}");
+        assert_eq!(row.median, profile.cdf().quantile(500), "{topology}");
         assert_eq!(row.cdf.mean(), row.average, "{topology}");
     }
 }
@@ -154,7 +154,8 @@ fn hub_topologies_are_deterministic_across_rebuilds() {
         let pa = Topology::PreferentialAttachment { m: 2, seed };
         assert_eq!(pa.build(48).unwrap(), pa.build(48).unwrap());
         let plc = Topology::PowerLawConfiguration { gamma: 2.3, seed };
-        assert_eq!(plc.build_unchecked(48).unwrap(), plc.build_unchecked(48).unwrap());
+        let build = || plc.build_for(48, ComponentMode::PerComponent).unwrap();
+        assert_eq!(build(), build());
     }
     let a = Topology::PreferentialAttachment { m: 2, seed: 0 }.build(64).unwrap();
     let b = Topology::PreferentialAttachment { m: 2, seed: 1 }.build(64).unwrap();
@@ -165,7 +166,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The CDF of any radius profile agrees with the profile's own
-    /// statistics at every probe point.
+    /// statistics, and with counts and nearest ranks taken directly off the
+    /// radii, at every probe point.
     #[test]
     fn profile_cdf_agrees_with_profile_statistics(
         radii in collection::vec(0usize..30, 1..60)
@@ -175,11 +177,16 @@ proptest! {
         prop_assert_eq!(cdf.observations(), radii.len() as u64);
         prop_assert_eq!(cdf.max_radius(), profile.max());
         prop_assert!((cdf.mean() - profile.average()).abs() < 1e-12);
+        let n = radii.len();
         for r in 0..=profile.max() + 1 {
-            prop_assert!((cdf.fraction_within(r) - profile.fraction_within(r)).abs() < 1e-12);
+            let within = radii.iter().filter(|&&x| x <= r).count() as f64 / n as f64;
+            prop_assert!((cdf.fraction_within(r) - within).abs() < 1e-12);
         }
+        let mut sorted = radii;
+        sorted.sort_unstable();
         for per_mille in [0u16, 100, 250, 500, 750, 900, 1000] {
-            prop_assert_eq!(cdf.quantile(per_mille), profile.quantile(per_mille));
+            let rank = (usize::from(per_mille) * (n - 1) + 500) / 1000;
+            prop_assert_eq!(cdf.quantile(per_mille), sorted[rank] as f64);
         }
     }
 

@@ -8,7 +8,7 @@
 //! The per-component mode is checked the same way: aggregate and
 //! per-component sets recomputed from the labelled radius vectors.
 
-use avglocal::graph::{ComponentLabels, ComponentMode};
+use avglocal::graph::ComponentMode;
 use avglocal::prelude::*;
 use proptest::prelude::*;
 
@@ -193,7 +193,8 @@ fn per_component_aggregates_recompose_from_the_components() {
         IdAssignment::Shuffled { seed: 31 }.apply(&mut graph).unwrap();
         assert_eq!(agg.edge_averaged, brute_force_edge_averaged(&graph, profile.radii(), true));
         // Radii are scoped to components: no ball outgrows its component.
-        let labels = ComponentLabels::of_graph(&graph);
+        let csr = graph.freeze();
+        let labels = csr.components();
         for v in graph.nodes() {
             let size = labels.sizes()[labels.label(v) as usize] as usize;
             assert!(profile.radius(v).unwrap() < size.max(1));

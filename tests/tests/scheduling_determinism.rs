@@ -108,7 +108,7 @@ fn reference_row(
             let (graph, profile) = if mode == ComponentMode::PerComponent {
                 let mut graph = topology.build_for(n, mode).unwrap();
                 assignment.apply(&mut graph).unwrap();
-                components = ComponentLabels::of_graph(&graph).count();
+                components = graph.freeze().components().count();
                 let (profile, _) =
                     run_on_topology_per_component(problem, topology, n, &assignment).unwrap();
                 (graph, profile)
@@ -174,6 +174,31 @@ fn reused_trial_graphs_leak_nothing_between_trials() {
         if mode == ComponentMode::PerComponent {
             assert!(result.rows[0].components > 1, "the instance must be disconnected");
         }
+    }
+}
+
+#[test]
+fn round_based_per_component_rows_match_connected_rows() {
+    // Round-based problems in per-component mode: on the (connected) cycle
+    // the row must equal, field for field, both the default-mode row and
+    // the reference built trial by trial.
+    let policy = AssignmentPolicy::Random { base_seed: 21 };
+    let (n, trials) = (24, 5);
+    for problem in [Problem::ThreeColoring, Problem::Mis, Problem::Matching] {
+        let row = |mode: ComponentMode| {
+            Sweep::on(problem, Topology::Cycle, vec![n])
+                .with_policy(policy.clone())
+                .with_trials(trials)
+                .with_component_mode(mode)
+                .run()
+                .unwrap()
+                .rows
+        };
+        let mode = ComponentMode::PerComponent;
+        let per_component = row(mode);
+        assert_eq!(per_component, row(ComponentMode::RequireConnected), "{}", problem.key());
+        let expected = reference_row(problem, &Topology::Cycle, n, mode, &policy, trials);
+        assert_eq!(per_component, vec![expected], "{}", problem.key());
     }
 }
 

@@ -148,7 +148,7 @@ fn disconnected_gnp_instances_are_rejected_not_measured() {
     // p = 0 on 8 nodes: no draw can ever be connected. The raw generator
     // hands the disconnected instance back…
     let family = Topology::Gnp { p: 0.0, seed: 42 };
-    let raw = family.build_unchecked(8).unwrap();
+    let raw = family.build_for(8, ComponentMode::PerComponent).unwrap();
     assert_eq!(raw.edge_count(), 0);
 
     // …but the sweep-facing build refuses it with a dedicated error,

@@ -24,7 +24,9 @@
 //!
 //! Test code is exempt from every rule except `safety-comment`: files under
 //! a package's `tests/` or `benches/` target directory, and `#[cfg(test)]`
-//! modules (tracked by brace depth).
+//! modules (tracked by brace depth). The same marking backs
+//! [`count_non_test_lines`] (`cargo xtask loc`), the size figure each change
+//! reports.
 //!
 //! The scanner is line-based over comment- and string-stripped source. It is
 //! a convention enforcer for first-party code, not a parser: pathological
@@ -102,15 +104,8 @@ pub fn run(root: &Path, config: &Config) -> Vec<Violation> {
         None => Vec::new(),
     };
 
-    let mut files = Vec::new();
-    for dir in &config.roots {
-        collect_rs_files(&root.join(dir), &mut files);
-    }
-    files.sort();
-
-    for path in &files {
-        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        match fs::read_to_string(path) {
+    for (path, rel) in source_files(root, config) {
+        match fs::read_to_string(&path) {
             Ok(source) => {
                 let file = analyze(&rel, &source);
                 check_file(&file, config, &mut allow, &mut violations);
@@ -148,6 +143,42 @@ pub fn run(root: &Path, config: &Config) -> Vec<Violation> {
 
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     violations
+}
+
+/// Counts the lines the linter treats as non-test code under the configured
+/// roots: every line — code, comment or blank — of a file that is not a
+/// test or bench target, outside `#[cfg(test)]` items.
+///
+/// # Errors
+///
+/// The first source file that cannot be read.
+pub fn count_non_test_lines(root: &Path, config: &Config) -> std::io::Result<usize> {
+    let mut count = 0;
+    for (path, rel) in source_files(root, config) {
+        let source = fs::read_to_string(&path)?;
+        let file = analyze(&rel, &source);
+        if !file.is_test_target {
+            count += file.in_test[..source.lines().count()].iter().filter(|&&t| !t).count();
+        }
+    }
+    Ok(count)
+}
+
+/// Every `.rs` file under the configured roots, sorted, with its path
+/// relative to `root` (`/`-separated).
+fn source_files(root: &Path, config: &Config) -> Vec<(PathBuf, String)> {
+    let mut files = Vec::new();
+    for dir in &config.roots {
+        collect_rs_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+            (path, rel)
+        })
+        .collect()
 }
 
 /// One allowlist line: `<path> <rule>  # reason`.

@@ -4,6 +4,8 @@
 //!
 //! * `lint` — run the repo-invariant linter over the workspace sources and
 //!   exit non-zero on any violation. See [`xtask::lint`] for the rule table.
+//! * `loc` — print the number of non-test lines over the same sources, as
+//!   the linter marks them ([`xtask::lint::count_non_test_lines`]).
 
 #![forbid(unsafe_code)]
 
@@ -28,12 +30,25 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        Some("loc") => {
+            let root = workspace_root();
+            match xtask::lint::count_non_test_lines(&root, &xtask::lint::Config::workspace(&root)) {
+                Ok(count) => {
+                    println!("{count} non-test lines");
+                    ExitCode::SUCCESS
+                }
+                Err(err) => {
+                    eprintln!("xtask loc: {err}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         Some(other) => {
-            eprintln!("unknown xtask command `{other}` (expected: lint)");
+            eprintln!("unknown xtask command `{other}` (expected: lint, loc)");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask lint");
+            eprintln!("usage: cargo xtask <lint|loc>");
             ExitCode::FAILURE
         }
     }

@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::lint::{run, Config, Violation};
+use xtask::lint::{count_non_test_lines, run, Config, Violation};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -63,6 +63,19 @@ fn every_rule_fires_at_the_seeded_site() {
     );
     // Nothing else fires — in particular nothing from test_exempt.rs.
     assert_eq!(violations.len(), 11, "unexpected extra violations: {violations:#?}");
+}
+
+#[test]
+fn loc_counts_what_the_linter_treats_as_non_test_code() {
+    let config = Config {
+        roots: vec![PathBuf::from("tests/fixtures/loc")],
+        allowlist: None,
+        hardened: Vec::new(),
+        library_roots: Vec::new(),
+    };
+    // src/lib.rs has 16 lines, 7 of them in its `#[cfg(test)]` module;
+    // tests/target.rs is a test target and counts nothing.
+    assert_eq!(count_non_test_lines(root(), &config).unwrap(), 9);
 }
 
 #[test]
